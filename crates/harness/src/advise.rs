@@ -29,7 +29,7 @@ use indigo_gpusim::titan_v;
 use indigo_graph::gen::{self, suite_graph, Scale, SUITE_GRAPHS};
 use indigo_graph::stats::{GraphStats, StatsScratch};
 use indigo_graph::Csr;
-use indigo_styles::{enumerate, Algorithm, Model};
+use indigo_styles::{enumerate, Algorithm, Model, StyleConfig};
 
 /// A journal distilled into advisor training cells.
 pub struct TrainingSet {
@@ -219,15 +219,12 @@ pub fn evaluate(advisor: &Advisor, scale: Scale) -> AdvisorBench {
         let input = GraphInput::new(g);
         let dg = DeviceGraph::upload(&input);
         for &(algo, model) in &groups {
-            let by_name: HashMap<String, _> = enumerate::variants(algo, model)
-                .into_iter()
-                .map(|c| (c.name(), c))
-                .collect();
-            let covered: Vec<&String> = advisor
+            let catalogue = enumerate::catalogue(algo, model);
+            let covered: Vec<(&String, &StyleConfig)> = advisor
                 .candidates(algo, model)
                 .unwrap_or(&[])
                 .iter()
-                .filter(|v| by_name.contains_key(*v))
+                .filter_map(|v| Some((v, catalogue.find(v)?)))
                 .collect();
             if covered.is_empty() {
                 continue;
@@ -235,9 +232,9 @@ pub fn evaluate(advisor: &Advisor, scale: Scale) -> AdvisorBench {
             // Deterministic ground truth: simulated cycles on one device.
             let truth: HashMap<&String, f64> = covered
                 .iter()
-                .map(|v| {
-                    let r = run_gpu(&by_name[*v], &dg, titan_v());
-                    (*v, r.gigaedges_per_sec(num_edges))
+                .map(|&(v, cfg)| {
+                    let r = run_gpu(cfg, &dg, titan_v());
+                    (v, r.gigaedges_per_sec(num_edges))
                 })
                 .collect();
             let (best, best_geps) = truth

@@ -31,7 +31,7 @@ use indigo_styles::{enumerate, Algorithm, Model, StyleConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One measured (variant, input, target) cell.
@@ -956,7 +956,9 @@ where
     let out: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     let panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
     let cursor = AtomicUsize::new(0);
-    let finished = AtomicUsize::new(0);
+    // completion count + its wake-up: the caller ticks as soon as an item
+    // lands, with no polling delay after the last one
+    let finished = (Mutex::new(0usize), Condvar::new());
     std::thread::scope(|s| {
         for _ in 0..jobs.min(n) {
             s.spawn(|| loop {
@@ -974,7 +976,8 @@ where
                         .unwrap_or_else(|e| e.into_inner())
                         .push((i, payload)),
                 }
-                finished.fetch_add(1, Ordering::Release);
+                *finished.0.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+                finished.1.notify_one();
             });
         }
         // the caller's thread narrates progress while workers drain; every
@@ -982,13 +985,13 @@ where
         // converges to n
         let mut last = 0usize;
         while last < n {
-            let done = finished.load(Ordering::Acquire);
-            if done > last {
-                last = done;
-                tick(done);
-            } else {
-                std::thread::sleep(std::time::Duration::from_millis(25));
+            let mut done = finished.0.lock().unwrap_or_else(|e| e.into_inner());
+            while *done == last {
+                done = finished.1.wait(done).unwrap_or_else(|e| e.into_inner());
             }
+            last = *done;
+            drop(done);
+            tick(last);
         }
     });
     let mut panics = panics.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -1121,6 +1124,15 @@ mod tests {
         assert_eq!(cpu.len(), 2);
         assert_ne!(cuda[0].label(), cuda[1].label());
         assert_ne!(cpu[0].label(), cpu[1].label());
+    }
+
+    #[test]
+    fn run_indexed_parallel_ticks_every_completion_up_to_n() {
+        let mut ticks = Vec::new();
+        let out = run_indexed_parallel(32, 4, |i| i * 2, |done| ticks.push(done));
+        assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(ticks.last(), Some(&32));
+        assert!(ticks.windows(2).all(|w| w[0] < w[1]), "{ticks:?}");
     }
 
     #[test]

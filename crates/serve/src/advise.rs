@@ -173,7 +173,7 @@ mod tests {
             graph,
             target: "titan-v".into(),
             outcome: CellOutcome::Ok(Measurement {
-                cfg: cfg.clone(),
+                cfg: *cfg,
                 graph,
                 target: "titan-v".into(),
                 geps,

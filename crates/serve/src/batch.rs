@@ -432,16 +432,15 @@ impl Group {
         }
     }
 
-    fn variant_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.variants.iter().map(|v| v.name()).collect();
-        names.sort();
-        names
+    /// Same variant set, in any order (each group's list is duplicate-free).
+    fn same_variants(&self, other: &Group) -> bool {
+        self.variants.len() == other.variants.len()
+            && self.variants.iter().all(|v| other.variants.contains(v))
     }
 
     fn absorb(&mut self, sub: Submission) {
         for v in sub.variants {
-            let name = v.name();
-            if !self.variants.iter().any(|x| x.name() == name) {
+            if !self.variants.contains(&v) {
                 self.variants.push(v);
             }
         }
@@ -474,9 +473,10 @@ fn execute_batch(batch: Vec<Submission>, cache: &ResultCache, stats: &Stats, job
     // (still exactly the union of requested cells — no cross-product bloat)
     let mut merged: Vec<Group> = Vec::new();
     for g in groups {
-        match merged.iter_mut().find(|m| {
-            m.scale == g.scale && m.reps == g.reps && m.variant_names() == g.variant_names()
-        }) {
+        match merged
+            .iter_mut()
+            .find(|m| m.scale == g.scale && m.reps == g.reps && m.same_variants(&g))
+        {
             Some(m) => {
                 for graph in g.graphs {
                     if !m.graphs.contains(&graph) {
@@ -672,9 +672,9 @@ mod tests {
         };
         // same graph → variant union; same variant set → graph union
         let batch = vec![
-            sub(SuiteGraph::Grid2d, vec![v1.clone()], 1),
-            sub(SuiteGraph::Grid2d, vec![v2.clone()], 2),
-            sub(SuiteGraph::Rmat, vec![v1.clone(), v2.clone()], 3),
+            sub(SuiteGraph::Grid2d, vec![v1], 1),
+            sub(SuiteGraph::Grid2d, vec![v2], 2),
+            sub(SuiteGraph::Rmat, vec![v1, v2], 3),
         ];
         let mut solo = Vec::new();
         let mut groups: Vec<Group> = Vec::new();
@@ -694,9 +694,10 @@ mod tests {
         assert_eq!(groups.len(), 2);
         let mut merged: Vec<Group> = Vec::new();
         for g in groups {
-            match merged.iter_mut().find(|m| {
-                m.scale == g.scale && m.reps == g.reps && m.variant_names() == g.variant_names()
-            }) {
+            match merged
+                .iter_mut()
+                .find(|m| m.scale == g.scale && m.reps == g.reps && m.same_variants(&g))
+            {
                 Some(m) => {
                     for graph in g.graphs {
                         if !m.graphs.contains(&graph) {

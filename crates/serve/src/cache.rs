@@ -91,6 +91,14 @@ impl ResultCache {
         })
     }
 
+    /// Whether one cell is cached (no copy of it is made).
+    pub fn contains(&self, fp: u64) -> bool {
+        self.map
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .contains_key(&fp)
+    }
+
     /// Looks up one cell.
     pub fn get(&self, fp: u64) -> Option<CachedCell> {
         self.map
@@ -245,6 +253,7 @@ mod tests {
         assert_eq!(cache.recovered, 1);
         assert_eq!(cache.get(fp).unwrap().geps_bits, geps.to_bits());
         assert_eq!(cache.get(fp + 1), None);
+        assert!(cache.contains(fp) && !cache.contains(fp + 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

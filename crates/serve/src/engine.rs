@@ -191,7 +191,7 @@ pub fn parse_query(req: &Request, cfg: &ServerConfig, sweep: bool) -> Result<Que
             Duration::from_millis(ms).min(cfg.max_deadline)
         }
     };
-    let all = enumerate::variants(algo, model);
+    let catalogue = enumerate::catalogue(algo, model);
     let variants = if sweep {
         let limit = match req.param("limit") {
             None => 0,
@@ -199,11 +199,9 @@ pub fn parse_query(req: &Request, cfg: &ServerConfig, sweep: bool) -> Result<Que
                 .parse::<usize>()
                 .map_err(|_| format!("`limit` is not a number: `{l}`"))?,
         };
-        let mut v = all;
-        if limit > 0 {
-            v.truncate(limit);
-        }
-        v
+        let all = catalogue.configs();
+        let n = if limit > 0 { limit } else { all.len() };
+        all[..n.min(all.len())].to_vec()
     } else if auto {
         // placeholder until the server resolves the advised style; keeps
         // the Query invariant (`variants` never empty) for every consumer
@@ -213,7 +211,7 @@ pub fn parse_query(req: &Request, cfg: &ServerConfig, sweep: bool) -> Result<Que
         if name == "baseline" {
             vec![StyleConfig::baseline(algo, model)]
         } else {
-            vec![all.into_iter().find(|c| c.name() == name).ok_or_else(|| {
+            vec![*catalogue.find(name).ok_or_else(|| {
                 format!(
                     "unknown variant `{name}` for {algo_label}/{}; \
                                         use `baseline` or a name from /sweep",
@@ -260,7 +258,8 @@ pub fn parse_query(req: &Request, cfg: &ServerConfig, sweep: bool) -> Result<Que
 /// One expected cell of a query.
 struct CellKey {
     fp: u64,
-    variant: String,
+    cfg: StyleConfig,
+    variant: &'static str,
     target: String,
 }
 
@@ -268,12 +267,13 @@ fn cells_for(q: &Query) -> Vec<CellKey> {
     let targets = TargetSpec::defaults_for(q.model);
     let mut cells = Vec::with_capacity(q.variants.len() * targets.len());
     for v in &q.variants {
-        let name = v.name();
+        let name = enumerate::name_of(v).expect("query variants are valid, catalogued configs");
         for t in &targets {
             let target = t.label();
             cells.push(CellKey {
-                fp: fingerprint(q.scale, q.reps, true, &name, q.graph.label(), &target),
-                variant: name.clone(),
+                fp: fingerprint(q.scale, q.reps, true, name, q.graph.label(), &target),
+                cfg: *v,
+                variant: name,
                 target,
             });
         }
@@ -319,7 +319,7 @@ pub fn execute(
     let cells = cells_for(q);
 
     // ---- cache: a fully answered query never touches the breaker
-    if cells.iter().all(|c| ctx.cache.get(c.fp).is_some()) {
+    if cells.iter().all(|c| ctx.cache.contains(c.fp)) {
         ctx.stats.bump(ServeCounter::CacheHits);
         scope.outcome = Outcome::Cached;
         return Response::json(200, result_body(ctx, q, &cells, true, false, 0));
@@ -356,10 +356,7 @@ pub fn execute(
             return Response::json(504, body);
         }
 
-        let missing: Vec<&CellKey> = cells
-            .iter()
-            .filter(|c| ctx.cache.get(c.fp).is_none())
-            .collect();
+        let missing: Vec<&CellKey> = cells.iter().filter(|c| !ctx.cache.contains(c.fp)).collect();
         if missing.is_empty() {
             break; // every cell is cached — assemble the answer
         }
@@ -370,7 +367,7 @@ pub fn execute(
                 .iter()
                 .map(|c| CellClaim {
                     fp: c.fp,
-                    variant: &c.variant,
+                    variant: c.variant,
                     target: &c.target,
                 })
                 .collect();
@@ -431,13 +428,12 @@ pub fn execute(
         let run_variants: Vec<StyleConfig> = q
             .variants
             .iter()
-            .filter(|v| {
-                let name = v.name();
+            .filter(|&v| {
                 claimed
                     .iter()
-                    .any(|g| cells.iter().any(|c| c.fp == g.fp() && c.variant == name))
+                    .any(|g| cells.iter().any(|c| c.fp == g.fp() && c.cfg == *v))
             })
-            .cloned()
+            .copied()
             .collect();
         let my_flights: Vec<Arc<Flight>> = claimed.iter().map(|g| g.flight()).collect();
         let sub = Submission {
@@ -644,7 +640,7 @@ fn result_body(
         cell_objs.push(format!(
             "{{\"fp\":\"{:016x}\",\"variant\":{},\"target\":{},\"geps\":{},\"geps_bits\":\"{:016x}\",\"iterations\":{}}}",
             c.fp,
-            json::str_lit(&c.variant),
+            json::str_lit(c.variant),
             json::str_lit(&c.target),
             json::num(geps),
             entry.geps_bits,
@@ -666,7 +662,7 @@ fn result_body(
                 ",\"summary\":{{\"cells\":{},\"best_geps\":{},\"best_variant\":{},\"best_target\":{}}}",
                 cell_objs.len(),
                 json::num(geps),
-                json::str_lit(&c.variant),
+                json::str_lit(c.variant),
                 json::str_lit(&c.target)
             ));
         }
@@ -912,6 +908,58 @@ mod tests {
         assert!(all.variants.len() > 2);
         assert_eq!(capped.variants.len(), 2);
         assert!(capped.sweep);
+    }
+
+    #[test]
+    fn variants_resolve_through_the_catalogue_in_enumeration_order() {
+        let all = enumerate::variants(Algorithm::Bfs, Model::Omp);
+        let sweep = parse_query(
+            &req("/sweep?algo=bfs&model=omp&graph=rmat&limit=5"),
+            &cfg(),
+            true,
+        )
+        .unwrap();
+        assert_eq!(sweep.variants, all[..5]);
+        let past_end = parse_query(
+            &req("/sweep?algo=bfs&model=omp&graph=rmat&limit=9999"),
+            &cfg(),
+            true,
+        )
+        .unwrap();
+        assert_eq!(past_end.variants, all);
+        let pick = &all[all.len() - 1];
+        let target = format!("/run?algo=bfs&model=omp&graph=rmat&variant={}", pick.name());
+        let q = parse_query(&req(&target), &cfg(), false).unwrap();
+        assert_eq!(q.variants, [*pick]);
+        let cells = cells_for(&q);
+        assert!(cells.iter().all(|c| c.variant == pick.name()));
+        assert_eq!(
+            cells[0].fp,
+            fingerprint(
+                q.scale,
+                q.reps,
+                true,
+                &pick.name(),
+                "rmat",
+                &cells[0].target
+            )
+        );
+    }
+
+    #[test]
+    fn unknown_variant_keeps_its_error_text() {
+        // a valid name from another group is as unknown as garbage
+        let other = StyleConfig::baseline(Algorithm::Pr, Model::Omp).name();
+        for name in ["zzz".to_string(), other] {
+            let target = format!("/run?algo=bfs&model=omp&graph=rmat&variant={name}");
+            let err = parse_query(&req(&target), &cfg(), false).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "unknown variant `{name}` for bfs/omp; use `baseline` or a name from /sweep"
+                )
+            );
+        }
     }
 
     #[test]

@@ -190,8 +190,6 @@ pub struct ReqRecord {
     pub batch_wait_us: u32,
     /// See [`RequestScope::execute_us`].
     pub execute_us: u32,
-    /// Response serialization + socket write, µs.
-    pub write_us: u32,
     /// End-to-end latency, µs.
     pub total_us: u32,
     /// Echoed request ID bytes (`id_len` of them).
@@ -234,7 +232,6 @@ impl ReqRecord {
             queue_us: 0,
             batch_wait_us: 0,
             execute_us: 0,
-            write_us: 0,
             total_us: 0,
             id: [0; MAX_RECORD_ID],
             id_len: 0,
@@ -243,10 +240,11 @@ impl ReqRecord {
         }
     }
 
-    /// Folds a finished request into a record. `write_us` is measured by
-    /// the caller after the socket write completes.
+    /// Folds a finished request into a record. It is pushed before the
+    /// response is written, so the socket write is not part of it (the
+    /// write histogram times it).
     #[must_use]
-    pub fn from_scope(scope: &RequestScope, target: &str, status: u16, write_us: u64) -> ReqRecord {
+    pub fn from_scope(scope: &RequestScope, target: &str, status: u16) -> ReqRecord {
         let mut rec = ReqRecord::blank();
         rec.seq = scope.seq;
         rec.ts_us = now_micros();
@@ -261,7 +259,6 @@ impl ReqRecord {
         rec.queue_us = sat32(scope.queue_us);
         rec.batch_wait_us = sat32(scope.batch_wait_us);
         rec.execute_us = sat32(scope.execute_us);
-        rec.write_us = sat32(write_us);
         rec.total_us = sat32(scope.total_us());
         rec.id_len = fill(&mut rec.id, &scope.echo);
         rec.target_len = fill(&mut rec.target, target);
@@ -301,7 +298,7 @@ impl ReqRecord {
             format!("\"{:016x}\"", self.served_by)
         };
         format!(
-            "{{\"seq\":{},\"id\":{},\"ts_us\":{},\"target\":{},\"status\":{},\"outcome\":\"{}\",\"attempts\":{},\"served_by\":{},\"stages\":{{\"queue_us\":{},\"batch_wait_us\":{},\"execute_us\":{},\"write_us\":{},\"total_us\":{}}},\"trigger\":{}}}",
+            "{{\"seq\":{},\"id\":{},\"ts_us\":{},\"target\":{},\"status\":{},\"outcome\":\"{}\",\"attempts\":{},\"served_by\":{},\"stages\":{{\"queue_us\":{},\"batch_wait_us\":{},\"execute_us\":{},\"total_us\":{}}},\"trigger\":{}}}",
             self.seq,
             str_lit(self.id_str()),
             self.ts_us,
@@ -313,7 +310,6 @@ impl ReqRecord {
             self.queue_us,
             self.batch_wait_us,
             self.execute_us,
-            self.write_us,
             self.total_us,
             trigger,
         )
@@ -447,12 +443,11 @@ mod tests {
     fn records_roundtrip_through_the_ring_in_seq_order() {
         let rec = FlightRecorder::new();
         for i in [3u64, 1, 2] {
-            rec.push(ReqRecord::from_scope(&scope(i), "/run?algo=bfs", 200, 7));
+            rec.push(ReqRecord::from_scope(&scope(i), "/run?algo=bfs", 200));
         }
         let got = rec.records();
         assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(got[0].queue_us, 10);
-        assert_eq!(got[0].write_us, 7);
         let body = rec.to_json();
         assert!(body.contains("\"target\":\"/run?algo=bfs\""));
         assert!(body.contains("\"pushed\":3"));
@@ -460,11 +455,11 @@ mod tests {
 
     #[test]
     fn outcome_defaults_from_status_when_engine_left_unknown() {
-        let r = ReqRecord::from_scope(&scope(1), "/run", 504, 0);
+        let r = ReqRecord::from_scope(&scope(1), "/run", 504);
         assert_eq!(r.outcome, Outcome::Timeout as u8);
         let mut s = scope(2);
         s.outcome = Outcome::Quarantined;
-        let r = ReqRecord::from_scope(&s, "/run", 500, 0);
+        let r = ReqRecord::from_scope(&s, "/run", 500);
         assert_eq!(r.outcome, Outcome::Quarantined as u8);
         assert!(r.to_json_line(true).contains("\"outcome\":\"quarantined\""));
     }
@@ -474,8 +469,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("indigo-flightrec-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let rec = FlightRecorder::new();
-        rec.push(ReqRecord::from_scope(&scope(1), "/run?algo=bfs", 200, 1));
-        rec.push(ReqRecord::from_scope(&scope(2), "/run?algo=sssp", 500, 1));
+        rec.push(ReqRecord::from_scope(&scope(1), "/run?algo=bfs", 200));
+        rec.push(ReqRecord::from_scope(&scope(2), "/run?algo=sssp", 500));
         let path = rec.dump(&dir, 2, "0000000000000002").unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
@@ -495,7 +490,7 @@ mod tests {
     fn long_ids_and_targets_truncate_without_panicking() {
         let mut s = scope(1);
         s.echo = "i".repeat(500);
-        let r = ReqRecord::from_scope(&s, &"t".repeat(500), 200, 0);
+        let r = ReqRecord::from_scope(&s, &"t".repeat(500), 200);
         assert_eq!(r.id_len as usize, MAX_RECORD_ID);
         assert_eq!(r.target_len as usize, MAX_RECORD_TARGET);
         // still valid JSON-able strings

@@ -90,18 +90,73 @@ mod sys {
     }
 }
 
+/// The epoll fd itself, closed when the last [`Poller`]/[`Registrar`]
+/// sharing it is gone.
+#[cfg(target_os = "linux")]
+struct EpollFd(i32);
+
+#[cfg(target_os = "linux")]
+impl EpollFd {
+    fn ctl(&self, op: sys::c_int, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = sys::EpollEvent {
+            events: {
+                let mut bits = sys::EPOLLRDHUP;
+                if interest.readable {
+                    bits |= sys::EPOLLIN;
+                }
+                if interest.writable {
+                    bits |= sys::EPOLLOUT;
+                }
+                bits
+            },
+            data: token,
+        };
+        // SAFETY: `self.0` is an open epoll fd (closed only when this
+        // value drops) and `ev` is a live, correctly laid out event struct;
+        // a bad `fd` is reported through the return code, not UB.
+        let rc = unsafe { sys::epoll_ctl(self.0, op, fd, &mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for EpollFd {
+    fn drop(&mut self) {
+        // SAFETY: the fd came from `epoll_create1` and nothing else owns
+        // it; the last sharer is dropping, so no later call can use it.
+        unsafe { sys::close(self.0) };
+    }
+}
+
 /// An epoll instance (Linux) or an always-erroring stub (elsewhere).
 pub struct Poller {
     #[cfg(target_os = "linux")]
-    epfd: i32,
+    epfd: std::sync::Arc<EpollFd>,
     #[cfg(target_os = "linux")]
     scratch: std::cell::RefCell<Vec<sys::EpollEvent>>,
 }
 
-// The scratch buffer makes Poller !Sync by default; the event loop owns
-// the poller from a single thread, and moving it there needs Send only.
+/// A `Send + Sync` handle that registers fds with a [`Poller`]'s epoll set
+/// from other threads (workers hand finished keep-alive connections back
+/// this way). It shares ownership of the epoll fd, so the fd stays open
+/// while any handle lives: a handle that outlives its poller registers
+/// into a set nobody waits on, never into a closed or recycled fd number.
 #[cfg(target_os = "linux")]
-unsafe impl Send for Poller {}
+#[derive(Clone)]
+pub struct Registrar {
+    epfd: std::sync::Arc<EpollFd>,
+}
+
+#[cfg(target_os = "linux")]
+impl Registrar {
+    /// Registers `fd` under `token`, exactly as [`Poller::add`].
+    pub fn add(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
+        self.epfd.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
+    }
+}
 
 impl Poller {
     /// Whether readiness polling works on this target.
@@ -117,7 +172,7 @@ impl Poller {
             return Err(io::Error::last_os_error());
         }
         Ok(Poller {
-            epfd,
+            epfd: std::sync::Arc::new(EpollFd(epfd)),
             scratch: std::cell::RefCell::new(vec![sys::EpollEvent { events: 0, data: 0 }; 64]),
         })
     }
@@ -132,50 +187,32 @@ impl Poller {
         ))
     }
 
+    /// A cross-thread registration handle on this poller's epoll set.
     #[cfg(target_os = "linux")]
-    fn ctl(&self, op: sys::c_int, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        let mut ev = sys::EpollEvent {
-            events: {
-                let mut bits = sys::EPOLLRDHUP;
-                if interest.readable {
-                    bits |= sys::EPOLLIN;
-                }
-                if interest.writable {
-                    bits |= sys::EPOLLOUT;
-                }
-                bits
-            },
-            data: token,
-        };
-        let rc = unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
+    pub fn registrar(&self) -> Registrar {
+        Registrar {
+            epfd: std::sync::Arc::clone(&self.epfd),
         }
-        Ok(())
     }
 
     /// Registers `fd` under `token`.
     #[cfg(target_os = "linux")]
     pub fn add(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
+        self.epfd.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Changes the interest set of a registered fd.
     #[cfg(target_os = "linux")]
     pub fn modify(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
+        self.epfd.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Deregisters `fd` (ownership of the fd is handed elsewhere, e.g. to
     /// a worker thread).
     #[cfg(target_os = "linux")]
     pub fn remove(&self, fd: i32) -> io::Result<()> {
-        let mut ev = sys::EpollEvent { events: 0, data: 0 };
-        let rc = unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
+        self.epfd
+            .ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::default())
     }
 
     /// Blocks for readiness up to `timeout` (`None` = forever) and appends
@@ -191,7 +228,7 @@ impl Poller {
         let n = loop {
             let rc = unsafe {
                 sys::epoll_wait(
-                    self.epfd,
+                    self.epfd.0,
                     scratch.as_mut_ptr(),
                     scratch.len() as sys::c_int,
                     timeout_ms,
@@ -217,13 +254,6 @@ impl Poller {
             });
         }
         Ok(n)
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for Poller {
-    fn drop(&mut self) {
-        unsafe { sys::close(self.epfd) };
     }
 }
 
@@ -279,6 +309,31 @@ mod tests {
         assert!(events[0].hangup, "half-close must flag hangup");
         let mut buf = [0u8; 8];
         assert_eq!(rx.read(&mut buf).unwrap(), 0, "EOF after half-close");
+    }
+
+    #[test]
+    fn registrar_adds_from_another_thread_and_outlives_the_poller() {
+        let poller = Poller::new().unwrap();
+        let (mut tx, rx) = UnixStream::pair().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let registrar = poller.registrar();
+        let fd = rx.as_raw_fd();
+        std::thread::spawn(move || registrar.add(fd, 5, Interest::READ).unwrap())
+            .join()
+            .unwrap();
+        tx.write_all(b"x").unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 5);
+
+        // the epoll fd stays open for a handle that outlives the poller
+        let late = poller.registrar();
+        drop(poller);
+        let (_tx2, rx2) = UnixStream::pair().unwrap();
+        late.add(rx2.as_raw_fd(), 6, Interest::READ).unwrap();
     }
 
     #[test]

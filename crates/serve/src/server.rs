@@ -10,8 +10,9 @@
 //! `429` bytes on the connection's write buffer and flushes them as the
 //! socket drains — overload never blocks the acceptor. Workers pop
 //! requests, execute them through the engine (single-flight + batching,
-//! `crate::batch`), write the response with blocking I/O, and hand the
-//! still-alive connection back to the reactor. On non-Linux targets (or
+//! `crate::batch`), write the response on the still non-blocking socket
+//! (blocking only if the send buffer is full), and re-register the
+//! still-alive connection with epoll themselves. On non-Linux targets (or
 //! with `reactor: false`) the server falls back to the original blocking
 //! accept path, now with per-connection keep-alive loops.
 //!
@@ -59,7 +60,8 @@ enum Job {
         req: Result<Request, String>,
         arrived: Instant,
         leftover: Vec<u8>,
-        reused: bool,
+        /// The connection's epoll token, kept across its requests.
+        token: u64,
     },
     /// Blocking fallback: a raw accepted connection the worker reads
     /// itself.
@@ -71,14 +73,24 @@ enum Job {
 struct Parked {
     stream: TcpStream,
     leftover: Vec<u8>,
-    reused: bool,
 }
 
-/// The worker-facing half of the reactor: a wake pipe plus the parking lot.
+/// The worker-facing half of the reactor (DESIGN.md §7.9).
 #[cfg(target_os = "linux")]
 struct ReactorShared {
+    /// Lets workers re-register finished keep-alive connections with the
+    /// reactor's epoll set directly.
+    registrar: crate::reactor::Registrar,
+    /// Connections a worker re-registered, by token: the reactor takes one
+    /// back when its fd next fires. Inserted *before* the registration, so
+    /// the reactor always finds the state of a token that fires.
+    parked: Mutex<HashMap<u64, Parked>>,
+    /// Wakes the reactor: for shutdown, and for `handed_back`.
     wake_tx: Mutex<std::os::unix::net::UnixStream>,
-    parked: Mutex<Vec<Parked>>,
+    /// Connections whose leftover already holds pipelined bytes: their fd
+    /// may never fire for bytes already read, so the reactor takes them
+    /// back on a wake instead.
+    handed_back: Mutex<Vec<(u64, Parked)>>,
     /// Connections the reactor is currently watching (the `/metrics`
     /// `parked_connections` gauge; updated once per reactor turn).
     watched: AtomicUsize,
@@ -160,8 +172,10 @@ impl Server {
                     let (wake_tx, wake_rx) = std::os::unix::net::UnixStream::pair()?;
                     wake_tx.set_nonblocking(true)?;
                     let shared = Arc::new(ReactorShared {
+                        registrar: poller.registrar(),
+                        parked: Mutex::new(HashMap::new()),
                         wake_tx: Mutex::new(wake_tx),
-                        parked: Mutex::new(Vec::new()),
+                        handed_back: Mutex::new(Vec::new()),
                         watched: AtomicUsize::new(0),
                     });
                     (Some(Arc::clone(&shared)), Some((poller, wake_rx, shared)))
@@ -298,6 +312,25 @@ mod reactor_impl {
         close_after_write: bool,
     }
 
+    impl ConnBuf {
+        fn new(stream: TcpStream, buf: Vec<u8>, reused: bool) -> ConnBuf {
+            ConnBuf {
+                stream,
+                buf,
+                write_buf: Vec::new(),
+                wpos: 0,
+                arrived: Instant::now(),
+                reused,
+                close_after_write: false,
+            }
+        }
+
+        /// A keep-alive connection back from a worker.
+        fn parked(p: Parked) -> ConnBuf {
+            ConnBuf::new(p.stream, p.leftover, true)
+        }
+    }
+
     enum Verdict {
         Keep,
         Drop,
@@ -333,33 +366,36 @@ mod reactor_impl {
             if inner.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            for ev in events.clone() {
+            for ev in events.drain(..) {
                 match ev.token {
-                    TOKEN_LISTENER => {
-                        accept_ready(inner, listener, poller, &mut conns, &mut next_token)
-                    }
+                    TOKEN_LISTENER => accept_ready(listener, poller, &mut conns, &mut next_token),
                     TOKEN_WAKE => {
                         let mut scratch = [0u8; 64];
                         let mut rx = wake_rx;
                         while matches!(rx.read(&mut scratch), Ok(n) if n > 0) {}
-                        let parked: Vec<Parked> = std::mem::take(
-                            &mut *shared.parked.lock().unwrap_or_else(|e| e.into_inner()),
-                        );
-                        for p in parked {
-                            register(inner, poller, &mut conns, &mut next_token, p);
+                        let handed_back = std::mem::take(&mut *lock(&shared.handed_back));
+                        for (token, p) in handed_back {
+                            take_back(inner, poller, &mut conns, token, p);
                         }
                     }
                     token => {
-                        let Some(mut cb) = conns.remove(&token) else {
-                            continue;
+                        // a connection mid-head or flushing, else one a
+                        // worker re-registered since it last fired
+                        let mut cb = match conns.remove(&token) {
+                            Some(cb) => cb,
+                            None => match lock(&shared.parked).remove(&token) {
+                                Some(p) => ConnBuf::parked(p),
+                                None => continue,
+                            },
                         };
                         let verdict = on_event(inner, &mut cb, ev.writable, ev.readable);
                         settle(inner, poller, &mut conns, token, cb, verdict);
                     }
                 }
             }
-            shared.watched.store(conns.len(), Ordering::Relaxed);
-            indigo_obs::Gauge::ServeParkedConns.set(conns.len() as i64);
+            let watched = conns.len() + lock(&shared.parked).len();
+            shared.watched.store(watched, Ordering::Relaxed);
+            indigo_obs::Gauge::ServeParkedConns.set(watched as i64);
             // reap connections dribbling a head (slow-loris) or wedged on a
             // pending write
             let deadline = inner.cfg.header_timeout;
@@ -381,12 +417,13 @@ mod reactor_impl {
         for (_, cb) in conns.drain() {
             let _ = poller.remove(cb.stream.as_raw_fd());
         }
+        lock(&shared.parked).clear();
+        lock(&shared.handed_back).clear();
         let _ = poller.remove(listener.as_raw_fd());
         let _ = poller.remove(wake_rx.as_raw_fd());
     }
 
     fn accept_ready(
-        inner: &Inner,
         listener: &TcpListener,
         poller: &Poller,
         conns: &mut HashMap<u64, ConnBuf>,
@@ -396,17 +433,19 @@ mod reactor_impl {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nodelay(true);
-                    register(
-                        inner,
-                        poller,
-                        conns,
-                        next_token,
-                        Parked {
-                            stream,
-                            leftover: Vec::new(),
-                            reused: false,
-                        },
-                    );
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let token = *next_token;
+                    *next_token += 1;
+                    // level-triggered: a request that is already readable
+                    // reports on the next wait, so no speculative read
+                    if poller
+                        .add(stream.as_raw_fd(), token, Interest::READ)
+                        .is_ok()
+                    {
+                        conns.insert(token, ConnBuf::new(stream, Vec::new(), false));
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -415,45 +454,26 @@ mod reactor_impl {
         }
     }
 
-    /// Starts watching a fresh or parked connection. A parked connection
-    /// whose leftover already holds a full pipelined head dispatches
-    /// immediately.
-    fn register(
+    /// Takes back a connection a worker handed over through the wake pipe
+    /// (its leftover holds pipelined bytes). A full head dispatches at once
+    /// without touching epoll; a partial one is watched, so the rest of the
+    /// head fires it and the header-timeout sweep covers a stalled one.
+    fn take_back(
         inner: &Inner,
         poller: &Poller,
         conns: &mut HashMap<u64, ConnBuf>,
-        next_token: &mut u64,
+        token: u64,
         p: Parked,
     ) {
-        if p.stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let token = *next_token;
-        *next_token += 1;
-        let mut cb = ConnBuf {
-            stream: p.stream,
-            buf: p.leftover,
-            write_buf: Vec::new(),
-            wpos: 0,
-            arrived: Instant::now(),
-            reused: p.reused,
-            close_after_write: false,
-        };
-        if poller
-            .add(cb.stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
-        {
-            return;
-        }
+        let cb = ConnBuf::parked(p);
         if let Some(end) = head_end(&cb.buf) {
-            let verdict = Verdict::Dispatch(end);
-            settle(inner, poller, conns, token, cb, verdict);
-            return;
+            settle(inner, poller, conns, token, cb, Verdict::Dispatch(end));
+        } else if poller
+            .add(cb.stream.as_raw_fd(), token, Interest::READ)
+            .is_ok()
+        {
+            conns.insert(token, cb);
         }
-        // drain whatever is already readable so a request that raced the
-        // registration isn't stuck waiting for the *next* byte
-        let verdict = on_event(inner, &mut cb, false, true);
-        settle(inner, poller, conns, token, cb, verdict);
     }
 
     /// Applies readiness to one connection.
@@ -563,18 +583,19 @@ mod reactor_impl {
                 let head = String::from_utf8_lossy(&cb.buf[..end]).into_owned();
                 let req = Request::parse(&head);
                 let leftover = cb.buf[end..].to_vec();
-                let fd = cb.stream.as_raw_fd();
+                // deregister *before* the hand-off: once pushed, a fast
+                // worker may re-register the fd under this same token, and
+                // a late remove would delete that fresh registration
+                let _ = poller.remove(cb.stream.as_raw_fd());
                 let job = Job::Ready {
                     stream: cb.stream,
                     req,
                     arrived: cb.arrived,
                     leftover,
-                    reused: cb.reused,
+                    token,
                 };
                 match inner.queue.try_push(job) {
-                    Ok(()) => {
-                        let _ = poller.remove(fd);
-                    }
+                    Ok(()) => {}
                     Err(PushError::Full(job)) => {
                         // shed without blocking: queue the 429 on the
                         // connection and let readiness flush it
@@ -593,7 +614,7 @@ mod reactor_impl {
                             req.as_ref().ok().and_then(|r| r.request_id.clone()),
                             arrived,
                         );
-                        scope.queue_us = arrived.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                        scope.queue_us = micros_since(arrived);
                         scope.outcome = Outcome::Shed;
                         let target = req
                             .as_ref()
@@ -601,7 +622,7 @@ mod reactor_impl {
                             .unwrap_or_else(|_| "<unparsed>".into());
                         inner
                             .recorder
-                            .push(ReqRecord::from_scope(&scope, &target, 429, 0));
+                            .push(ReqRecord::from_scope(&scope, &target, 429));
                         let secs = inner.stats.retry_after_secs(inner.queue.depth());
                         let resp = Response::json(
                             429,
@@ -621,43 +642,42 @@ mod reactor_impl {
                             reused: cb.reused,
                             close_after_write: true,
                         };
-                        match flush_pending(&mut cb) {
-                            Ok(true) | Err(_) => {
-                                let _ = poller.remove(cb.stream.as_raw_fd());
-                            }
-                            Ok(false) => {
-                                let _ = poller.modify(
-                                    cb.stream.as_raw_fd(),
-                                    token,
-                                    Interest::READ_WRITE,
-                                );
-                                conns.insert(token, cb);
-                            }
+                        if matches!(flush_pending(&mut cb), Ok(false))
+                            && poller
+                                .add(cb.stream.as_raw_fd(), token, Interest::READ_WRITE)
+                                .is_ok()
+                        {
+                            conns.insert(token, cb);
                         }
                     }
-                    Err(PushError::Closed(_)) => {
-                        let _ = poller.remove(fd);
-                    }
+                    Err(PushError::Closed(_)) => {}
                 }
             }
         }
     }
 
     /// Parks a keep-alive connection back with the reactor after a worker
-    /// finishes a request on it.
-    pub(super) fn park(inner: &Inner, stream: TcpStream, leftover: Vec<u8>) {
+    /// finishes a request on it: the worker re-registers the fd itself, so
+    /// the reactor is not woken. Only a connection that already holds
+    /// pipelined bytes goes through the wake pipe (see [`take_back`]).
+    pub(super) fn park(inner: &Inner, stream: TcpStream, leftover: Vec<u8>, token: u64) {
         let Some(shared) = &inner.reactor else {
             return;
         };
-        {
-            let mut parked = shared.parked.lock().unwrap_or_else(|e| e.into_inner());
-            parked.push(Parked {
-                stream,
-                leftover,
-                reused: true,
-            });
+        if !leftover.is_empty() {
+            lock(&shared.handed_back).push((token, Parked { stream, leftover }));
+            shared.wake();
+            return;
         }
-        shared.wake();
+        let fd = stream.as_raw_fd();
+        lock(&shared.parked).insert(token, Parked { stream, leftover });
+        if shared.registrar.add(fd, token, Interest::READ).is_err() {
+            lock(&shared.parked).remove(&token); // closes the connection
+        }
+    }
+
+    fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+        m.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -710,7 +730,7 @@ fn shed(inner: &Inner, mut stream: TcpStream) {
     scope.outcome = Outcome::Shed;
     inner
         .recorder
-        .push(ReqRecord::from_scope(&scope, "<shed>", 429, 0));
+        .push(ReqRecord::from_scope(&scope, "<shed>", 429));
     let secs = inner.stats.retry_after_secs(inner.queue.depth());
     let resp = Response::json(
         429,
@@ -752,8 +772,8 @@ fn worker_loop(inner: &Inner) {
                 req,
                 arrived,
                 leftover,
-                reused,
-            } => handle_ready(inner, stream, req, arrived, leftover, reused),
+                token,
+            } => handle_ready(inner, stream, req, arrived, leftover, token),
             Job::Raw { stream, arrived } => handle_raw(inner, stream, arrived),
         }));
     }
@@ -794,11 +814,13 @@ fn finalize(mut resp: Response, path: &str, scope: &mut RequestScope) -> Respons
 
 /// Folds a finished request into the stage histograms and the flight
 /// recorder; any 5xx dumps the ring to `cfg.flightrec_dir` (best-effort,
-/// budget-capped — see [`FlightRecorder::dump`]).
-fn observe_done(inner: &Inner, scope: &RequestScope, target: &str, status: u16, write_us: u64) {
+/// budget-capped — see [`FlightRecorder::dump`]). Runs *before* the
+/// response bytes go out (DESIGN.md §7.10), so a client holding the
+/// response already finds its record and any dump; the write itself is
+/// timed afterwards by [`observe_write`].
+fn observe_done(inner: &Inner, scope: &RequestScope, target: &str, status: u16) {
     indigo_obs::Hist::ServeQueueWaitMicros.record(scope.queue_us);
     indigo_obs::Hist::ServeExecuteMicros.record(scope.execute_us);
-    indigo_obs::Hist::ServeWriteMicros.record(write_us);
     if indigo_obs::enabled() {
         let total = scope.total_us();
         let start = indigo_obs::now_micros().saturating_sub(total);
@@ -810,7 +832,7 @@ fn observe_done(inner: &Inner, scope: &RequestScope, target: &str, status: u16, 
     }
     inner
         .recorder
-        .push(ReqRecord::from_scope(scope, target, status, write_us));
+        .push(ReqRecord::from_scope(scope, target, status));
     if status >= 500 {
         if let Some(dir) = &inner.cfg.flightrec_dir {
             let _ = inner.recorder.dump(dir, scope.seq, &scope.echo);
@@ -818,25 +840,57 @@ fn observe_done(inner: &Inner, scope: &RequestScope, target: &str, status: u16, 
     }
 }
 
+/// Records a finished socket write: its duration in the write histogram
+/// and the request's end-to-end latency.
+fn observe_write(inner: &Inner, write_start: Instant, arrived: Instant) {
+    indigo_obs::Hist::ServeWriteMicros.record(micros_since(write_start));
+    inner.stats.record_latency(micros_since(arrived));
+}
+
+fn micros_since(t: Instant) -> u64 {
+    t.elapsed().as_micros().min(u64::MAX as u128) as u64
+}
+
+/// Writes a response on a socket the reactor left non-blocking. Only a
+/// full send buffer falls back to a blocking write bounded by
+/// [`STREAM_TIMEOUT`]; the socket is non-blocking again afterwards.
+fn write_nonblocking(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
+    let mut pos = 0;
+    while pos < bytes.len() {
+        match stream.write(&bytes[pos..]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => pos += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                stream.set_nonblocking(false)?;
+                stream.set_write_timeout(Some(STREAM_TIMEOUT))?;
+                let wrote = stream.write_all(&bytes[pos..]);
+                stream.set_nonblocking(true)?;
+                return wrote;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Serves one reactor-parsed request, then parks the connection back with
-/// the reactor when it stays alive.
+/// the reactor when it stays alive. The socket stays as the reactor left
+/// it, non-blocking; nothing here reads from it.
 fn handle_ready(
     inner: &Inner,
     mut stream: TcpStream,
     req: Result<Request, String>,
     arrived: Instant,
     leftover: Vec<u8>,
-    _reused: bool,
+    token: u64,
 ) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(STREAM_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
     let mut scope = RequestScope::new(
         next_seq(inner),
         req.as_ref().ok().and_then(|r| r.request_id.clone()),
         arrived,
     );
-    scope.queue_us = arrived.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    scope.queue_us = micros_since(arrived);
     let (resp, req_close, target) = match &req {
         Ok(r) => {
             let resp = route(inner, r, arrived, &mut scope);
@@ -857,18 +911,16 @@ fn handle_ready(
         }
     };
     let resp = finish_response(inner, resp, req_close);
+    observe_done(inner, &scope, &target, resp.status);
     let write_start = Instant::now();
-    let wrote = resp.write_to(&mut stream).is_ok();
-    let write_us = write_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let micros = arrived.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    inner.stats.record_latency(micros);
-    observe_done(inner, &scope, &target, resp.status, write_us);
+    let wrote = write_nonblocking(&mut stream, &resp.to_bytes()).is_ok();
+    observe_write(inner, write_start, arrived);
     let keep = wrote && !resp.close && !inner.shutdown.load(Ordering::SeqCst);
     if keep {
         #[cfg(target_os = "linux")]
-        reactor_impl::park(inner, stream, leftover);
+        reactor_impl::park(inner, stream, leftover, token);
         #[cfg(not(target_os = "linux"))]
-        let _ = (stream, leftover);
+        let _ = (stream, leftover, token);
     }
 }
 
@@ -894,16 +946,14 @@ fn handle_raw(inner: &Inner, mut stream: TcpStream, arrived: Instant) {
                     inner.stats.bump(ServeCounter::KeepAliveReuses);
                 }
                 let mut scope = RequestScope::new(next_seq(inner), req.request_id.clone(), arrived);
-                scope.queue_us = arrived.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                scope.queue_us = micros_since(arrived);
                 let routed = route(inner, &req, arrived, &mut scope);
                 let resp =
                     finish_response(inner, finalize(routed, &req.path, &mut scope), req.close);
+                observe_done(inner, &scope, &req_target(&req), resp.status);
                 let write_start = Instant::now();
                 let wrote = resp.write_to(&mut stream).is_ok();
-                let write_us = write_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                let micros = arrived.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                inner.stats.record_latency(micros);
-                observe_done(inner, &scope, &req_target(&req), resp.status, write_us);
+                observe_write(inner, write_start, arrived);
                 served += 1;
                 if !wrote || resp.close || inner.shutdown.load(Ordering::SeqCst) {
                     break;
@@ -924,10 +974,10 @@ fn handle_raw(inner: &Inner, mut stream: TcpStream, arrived: Instant) {
                     )
                     .with_close()
                     .with_request_id(scope.echo.clone());
-                    let _ = resp.write_to(&mut stream);
                     inner
                         .recorder
-                        .push(ReqRecord::from_scope(&scope, "<unparsed>", 400, 0));
+                        .push(ReqRecord::from_scope(&scope, "<unparsed>", 400));
+                    let _ = resp.write_to(&mut stream);
                 }
                 break;
             }
@@ -1248,12 +1298,12 @@ fn run(
             q.algo,
             q.model,
         );
-        let all = enumerate::variants(q.algo, q.model);
+        let catalogue = enumerate::catalogue(q.algo, q.model);
         let chosen = advised
             .advice
             .ranked
             .iter()
-            .find_map(|name| all.iter().find(|c| &c.name() == name).cloned())
+            .find_map(|name| catalogue.find(name).copied())
             .unwrap_or_else(|| StyleConfig::baseline(q.algo, q.model));
         q.variants = vec![chosen];
         inner.stats.bump(ServeCounter::Advised);

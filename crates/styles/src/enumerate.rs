@@ -3,12 +3,88 @@
 //! The full cartesian product over every dimension is generated and filtered
 //! through [`StyleConfig::check`]; whatever survives *is* the suite. The
 //! per-(algorithm, model) counts are our analog of the paper's Table 3.
+//!
+//! Like the paper's generator, the style space is fixed: each
+//! `(algorithm, model)` group is generated once per process into an
+//! immutable [`Catalogue`] (configs in stable order plus their names), and
+//! every later lookup — [`variants`], by name, by config — reads that table
+//! instead of re-walking the product.
 
 use crate::config::{uses_reduction, StyleConfig};
 use crate::dims::*;
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// One `(algorithm, model)` group of the suite: its valid variants in
+/// stable order, their names, and both lookup directions.
+pub struct Catalogue {
+    configs: Vec<StyleConfig>,
+    names: Vec<Box<str>>,
+    /// Indices into `configs`, sorted by name (binary-searched by [`Self::find`]).
+    by_name: Vec<usize>,
+    by_config: HashMap<StyleConfig, usize>,
+}
+
+impl Catalogue {
+    fn build(algorithm: Algorithm, model: Model) -> Catalogue {
+        let configs = generate(algorithm, model);
+        let names: Vec<Box<str>> = configs.iter().map(|c| c.name().into()).collect();
+        let mut by_name: Vec<usize> = (0..configs.len()).collect();
+        by_name.sort_by(|&a, &b| names[a].cmp(&names[b]));
+        let by_config = configs.iter().enumerate().map(|(i, c)| (*c, i)).collect();
+        Catalogue {
+            configs,
+            names,
+            by_name,
+            by_config,
+        }
+    }
+
+    /// The group's valid variants, in [`variants`] order.
+    pub fn configs(&self) -> &[StyleConfig] {
+        &self.configs
+    }
+
+    /// The variant named `name` ([`StyleConfig::name`]), if the group has
+    /// one. Formats nothing.
+    pub fn find(&self, name: &str) -> Option<&StyleConfig> {
+        self.by_name
+            .binary_search_by(|&i| (*self.names[i]).cmp(name))
+            .ok()
+            .map(|k| &self.configs[self.by_name[k]])
+    }
+
+    /// The name of `cfg` without formatting it, if `cfg` is in the group.
+    pub fn name_of(&self, cfg: &StyleConfig) -> Option<&str> {
+        self.by_config.get(cfg).map(|&i| &*self.names[i])
+    }
+}
+
+/// The process-wide catalogue of one `(algorithm, model)` group, built on
+/// first use.
+pub fn catalogue(algorithm: Algorithm, model: Model) -> &'static Catalogue {
+    const MODELS: usize = Model::ALL.len();
+    static TABLE: [OnceLock<Catalogue>; Algorithm::ALL.len() * MODELS] =
+        [const { OnceLock::new() }; Algorithm::ALL.len() * MODELS];
+    // fieldless enums: discriminants are 0..ALL.len()
+    TABLE[algorithm as usize * MODELS + model as usize]
+        .get_or_init(|| Catalogue::build(algorithm, model))
+}
+
+/// The catalogued name of a valid variant (`None` only for a config that
+/// fails [`StyleConfig::check`]). Formats nothing.
+pub fn name_of(cfg: &StyleConfig) -> Option<&'static str> {
+    catalogue(cfg.algorithm, cfg.model).name_of(cfg)
+}
 
 /// All valid variants for one `(algorithm, model)` pair, in a stable order.
 pub fn variants(algorithm: Algorithm, model: Model) -> Vec<StyleConfig> {
+    catalogue(algorithm, model).configs().to_vec()
+}
+
+/// Walks the cartesian product for one group and keeps what passes
+/// [`StyleConfig::check`] — run once per group by [`catalogue`].
+fn generate(algorithm: Algorithm, model: Model) -> Vec<StyleConfig> {
     let gpu = model == Model::Cuda;
     let red = uses_reduction(algorithm);
 
@@ -188,6 +264,42 @@ mod tests {
             assert_eq!(total, model_suite(m).len());
             assert_eq!(counts.len(), 6);
         }
+    }
+
+    #[test]
+    fn catalogue_matches_a_fresh_generation_in_order() {
+        for a in Algorithm::ALL {
+            for m in Model::ALL {
+                assert_eq!(variants(a, m), generate(a, m), "{a:?}/{m:?}");
+                assert_eq!(catalogue(a, m).configs(), &generate(a, m)[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn name_lookups_agree_with_a_linear_scan() {
+        let mut looked_up = 0;
+        for a in Algorithm::ALL {
+            for m in Model::ALL {
+                let cat = catalogue(a, m);
+                let fresh = generate(a, m);
+                for cfg in &fresh {
+                    let name = cfg.name();
+                    let scanned = fresh.iter().find(|c| c.name() == name);
+                    assert_eq!(cat.find(&name), scanned, "{name}");
+                    assert_eq!(cat.name_of(cfg), Some(name.as_str()));
+                    assert_eq!(name_of(cfg), Some(name.as_str()));
+                    looked_up += 1;
+                }
+                assert!(cat.find("no-such-variant").is_none());
+                assert!(cat.find("").is_none());
+            }
+        }
+        assert_eq!(looked_up, 1098);
+        // a name from another group is not in this one
+        let bfs = catalogue(Algorithm::Bfs, Model::Cuda);
+        let pr_name = StyleConfig::baseline(Algorithm::Pr, Model::Cuda).name();
+        assert!(bfs.find(&pr_name).is_none());
     }
 
     #[test]

@@ -47,6 +47,19 @@ cargo clippy --all-targets -- -D warnings
 stage "cargo test -q --workspace"
 cargo test -q --workspace
 
+stage "serve race repeat (serve_robustness + serve_observability, 20x each)"
+# a side effect a response reports (flight dump, counter, keep-alive
+# re-registration) must happen before the response goes out; an ordering
+# race there fails one run in N, so each serve binary runs 20 times on its
+# own — `cargo test` stops at the first failing binary, so one race would
+# otherwise hide every suite after it
+for bin in serve_robustness serve_observability; do
+    for i in $(seq 20); do
+        out=$(cargo test -q --test "$bin" 2>&1) ||
+            { echo "$out" | tail -40; echo "$bin failed on repeat $i of 20"; exit 1; }
+    done
+done
+
 stage "fault-injection smoke (crash, resume, clean exits)"
 cargo build -q --release -p indigo2 --bin indigo-exp
 exp=target/release/indigo-exp

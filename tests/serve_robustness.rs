@@ -400,6 +400,125 @@ fn pipelined_keep_alive_requests_answer_in_order() {
     );
 }
 
+#[test]
+fn one_keep_alive_connection_soaks_thousands_of_cached_answers() {
+    use std::io::Write;
+
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let addr = server.addr();
+    // two cached targets: the default style and a catalogue lookup by name
+    let named =
+        indigo_styles::enumerate::variants(indigo_styles::Algorithm::Cc, indigo_styles::Model::Omp)
+            [3]
+        .name();
+    let targets = [
+        "/run?algo=bfs&graph=2d-grid&scale=tiny".to_string(),
+        format!("/run?algo=cc&model=omp&graph=rmat&scale=tiny&variant={named}"),
+    ];
+    for t in &targets {
+        let primed = get(addr, t);
+        assert_eq!(primed.status, 200, "{t}: {}", primed.body);
+    }
+
+    // a lost re-registration hangs the connection: every read is bounded,
+    // and so is the whole soak
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = std::time::Instant::now();
+    let mut carry = Vec::new();
+    let mut reference: Vec<Option<String>> = vec![None; targets.len()];
+    let rounds = 2000;
+    for i in 0..rounds {
+        let k = i % targets.len();
+        let req = format!("GET {} HTTP/1.1\r\nHost: x\r\n\r\n", targets[k]);
+        stream.write_all(req.as_bytes()).unwrap();
+        let body = strip_request_scope(&read_response(&mut stream, &mut carry));
+        assert!(body.contains("\"cached\":true"), "round {i}: {body}");
+        match &reference[k] {
+            None => reference[k] = Some(body),
+            Some(r) => assert_eq!(&body, r, "round {i} answered differently"),
+        }
+    }
+    // and a pipelined pair in one write on the same connection
+    let pair: String = targets
+        .iter()
+        .map(|t| format!("GET {t} HTTP/1.1\r\nHost: x\r\n\r\n"))
+        .collect();
+    stream.write_all(pair.as_bytes()).unwrap();
+    for (k, r) in reference.iter().enumerate() {
+        let body = strip_request_scope(&read_response(&mut stream, &mut carry));
+        assert_eq!(Some(&body), r.as_ref(), "pipelined answer {k}");
+    }
+    // a pipelined head split across writes: the first answer must not
+    // wait for the rest, and the rest must still be read
+    let split = pair.len() - 20;
+    stream.write_all(&pair.as_bytes()[..split]).unwrap();
+    let first = strip_request_scope(&read_response(&mut stream, &mut carry));
+    assert_eq!(
+        Some(&first),
+        reference[0].as_ref(),
+        "split pair, first answer"
+    );
+    stream.write_all(&pair.as_bytes()[split..]).unwrap();
+    let second = strip_request_scope(&read_response(&mut stream, &mut carry));
+    assert_eq!(
+        Some(&second),
+        reference[1].as_ref(),
+        "split pair, second answer"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(120),
+        "soak took {:?}",
+        started.elapsed()
+    );
+    assert!(
+        server.stats().keepalive_reuses > rounds as u64,
+        "requests were not served on the one kept connection"
+    );
+}
+
+/// Reads one 200 response off `stream`, keeping bytes past it in `carry`;
+/// returns the body.
+fn read_response(stream: &mut std::net::TcpStream, carry: &mut Vec<u8>) -> String {
+    use std::io::Read;
+
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(h) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&carry[..h]).into_owned();
+            let len: usize = head
+                .lines()
+                .find_map(|l| {
+                    let (k, v) = l.split_once(':')?;
+                    k.eq_ignore_ascii_case("content-length")
+                        .then(|| v.trim().parse().ok())?
+                })
+                .unwrap_or_else(|| panic!("no Content-Length in {head}"));
+            if carry.len() >= h + 4 + len {
+                assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+                let body = String::from_utf8_lossy(&carry[h + 4..h + 4 + len]).into_owned();
+                carry.drain(..h + 4 + len);
+                return body;
+            }
+        }
+        let n = stream
+            .read(&mut chunk)
+            .expect("the kept connection must answer within its read timeout");
+        assert!(n > 0, "server closed the keep-alive connection");
+        carry.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// A success body without its per-request `rid`/`served_by`/`timing` tail.
+fn strip_request_scope(body: &str) -> String {
+    let cut = body
+        .find(",\"rid\":")
+        .unwrap_or_else(|| panic!("no rid in {body}"));
+    body[..cut].to_string()
+}
+
 // The reactor reaps connections that dribble their request head; the
 // blocking fallback path bounds them with its stream timeout instead, so
 // the fast reap is Linux-only behavior.
