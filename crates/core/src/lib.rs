@@ -40,8 +40,8 @@ pub mod verify;
 pub use input::GraphInput;
 pub use output::Output;
 pub use runner::{
-    run_gpu, run_gpu_supervised, run_gpu_with, run_variant, run_variant_supervised, RunResult,
-    SimStats, Supervision, Target,
+    run_gpu, run_gpu_supervised, run_gpu_with, run_variant, run_variant_supervised, GpuRun,
+    RunResult, SimStats, Supervision, Target,
 };
 
 /// Source vertex used by BFS and SSSP across the whole suite (the paper does

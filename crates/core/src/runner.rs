@@ -91,6 +91,32 @@ pub struct RunResult {
     pub sim: Option<SimStats>,
 }
 
+/// One functional GPU run priced on every device of its set: the output
+/// and iteration count are device-independent, the timings are not.
+pub struct GpuRun {
+    /// Algorithm output (verify with [`crate::verify::check`]).
+    pub output: Output,
+    /// Parallel iterations/rounds the variant took to converge.
+    pub iterations: usize,
+    /// Simulated seconds per device, in device-set order.
+    pub secs: Vec<f64>,
+    /// Simulator statistics per device, in device-set order.
+    pub sim: Vec<SimStats>,
+}
+
+impl GpuRun {
+    /// The run of a one-device set as a [`RunResult`].
+    pub fn into_result(self) -> RunResult {
+        assert_eq!(self.secs.len(), 1, "into_result needs a one-device run");
+        RunResult {
+            output: self.output,
+            secs: self.secs[0],
+            iterations: self.iterations,
+            sim: Some(self.sim[0]),
+        }
+    }
+}
+
 impl RunResult {
     /// The paper's §4.5 metric: giga-edges per second.
     pub fn gigaedges_per_sec(&self, num_edges: usize) -> f64 {
@@ -121,7 +147,7 @@ pub fn run_variant_supervised(
         Target::Cpu { threads } => run_cpu(cfg, input, *threads, sup),
         Target::Gpu(device) => {
             let dg = DeviceGraph::upload(input);
-            run_gpu_supervised(cfg, &dg, *device, 1, sup)
+            run_gpu_supervised(cfg, &dg, &[*device], 1, sup).into_result()
         }
     }
 }
@@ -142,22 +168,28 @@ pub fn run_gpu_with(
     device: Device,
     sim_workers: usize,
 ) -> RunResult {
-    run_gpu_supervised(cfg, dg, device, sim_workers, &Supervision::none())
+    run_gpu_supervised(cfg, dg, &[device], sim_workers, &Supervision::none()).into_result()
 }
 
-/// [`run_gpu_with`] under harness supervision (see [`Supervision`]).
+/// Runs `cfg` once and prices it for every device in `devices` (one or
+/// two sharing `block_dim`; see [`Sim::for_devices`]), under harness
+/// supervision (see [`Supervision`]). Each device's figures are
+/// bit-identical to a one-device run on it. A launch whose grid differs
+/// between the devices — a persistent variant on two GPUs with different
+/// SM counts — panics, so such variants run one device at a time.
+///
 /// Without supervision knobs set this is identical to the plain entry
 /// points — supervision never perturbs simulated cycles, only whether the
 /// run is allowed to finish.
 pub fn run_gpu_supervised(
     cfg: &StyleConfig,
     dg: &DeviceGraph,
-    device: Device,
+    devices: &[Device],
     sim_workers: usize,
     sup: &Supervision,
-) -> RunResult {
+) -> GpuRun {
     assert!(!cfg.model.is_cpu(), "run_gpu needs a CUDA-model variant");
-    let mut sim = Sim::new(device);
+    let mut sim = Sim::for_devices(devices);
     sim.set_workers(sim_workers);
     if let Some(token) = &sup.cancel {
         sim.set_cancel(token.clone());
@@ -194,15 +226,18 @@ pub fn run_gpu_supervised(
             (Output::Triangles(c), i)
         }
     };
-    RunResult {
+    let per_device = 0..devices.len();
+    GpuRun {
         output,
-        secs: sim.elapsed_secs(),
         iterations,
-        sim: Some(SimStats {
-            cycles: sim.elapsed_cycles(),
-            launches: sim.launches(),
-            accesses: sim.accesses(),
-        }),
+        secs: per_device.clone().map(|k| sim.elapsed_secs_on(k)).collect(),
+        sim: per_device
+            .map(|k| SimStats {
+                cycles: sim.elapsed_cycles_on(k),
+                launches: sim.launches(),
+                accesses: sim.accesses(),
+            })
+            .collect(),
     }
 }
 

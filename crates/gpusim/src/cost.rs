@@ -16,6 +16,13 @@
 
 use crate::device::CostModel;
 
+/// Most devices one simulation prices at once: the paper's two GPUs.
+pub const MAX_DEVICES: usize = 2;
+
+/// One figure per device of a device set, in set order; an `n`-device set
+/// uses `[..n]`.
+pub type PerDevice = [f64; MAX_DEVICES];
+
 /// What kind of machine step an ordinal slot holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccessClass {
@@ -229,11 +236,15 @@ impl StepTable {
         self.used
     }
 
-    /// Prices the round and returns warp cycles. Deduplication of each
-    /// step's keys happens here, once per step, instead of on the
-    /// per-access record path (see [`Step`]).
-    pub fn finalize(&self, c: &CostModel) -> f64 {
-        let mut cycles = 0.0;
+    /// Prices the round once for every cost model in `costs` and returns
+    /// warp cycles per model (`[..costs.len()]` live). Deduplication of
+    /// each step's keys happens here, once per step and shared by all
+    /// models, instead of on the per-access record path (see [`Step`]);
+    /// each model then accumulates its step costs in step order, so its
+    /// total is bit-identical to pricing it alone.
+    pub fn finalize(&self, costs: &[CostModel]) -> PerDevice {
+        debug_assert!((1..=MAX_DEVICES).contains(&costs.len()));
+        let mut cycles = [0.0; MAX_DEVICES];
         // Local tallies, flushed once at the end. Without `telemetry` the
         // flush compiles out, the tallies become dead stores, and the whole
         // accounting is eliminated — the priced cycles are bit-identical
@@ -241,90 +252,76 @@ impl StepTable {
         let (mut coalesced, mut uncoalesced) = (0u64, 0u64);
         let (mut atomic_ops, mut atomic_conflicts, mut shared_atomics) = (0u64, 0u64, 0u64);
         for step in &self.steps[..self.used] {
-            if step.total == 0 {
+            let total = step.total;
+            if total == 0 {
                 continue;
             }
-            // divergence leaves many single-lane steps: price them without
-            // touching the scan loops (distinct = multiplicity = 1)
-            if step.total == 1 {
-                cycles += match step.class {
-                    AccessClass::Mem => {
-                        coalesced += 1;
-                        c.issue + c.mem_segment
-                    }
-                    AccessClass::CudaLdSt => {
-                        coalesced += 1;
-                        (c.issue + c.mem_segment) * c.cuda_ldst_mult
-                    }
-                    AccessClass::AtomicRmw => {
-                        atomic_ops += 1;
-                        c.atomic_issue + c.atomic_per_addr
-                    }
-                    AccessClass::CudaAtomicRmw => {
-                        atomic_ops += 1;
-                        (c.atomic_issue + c.atomic_per_addr) * c.cuda_atomic_mult
-                    }
-                    AccessClass::SharedAtomic => {
-                        shared_atomics += 1;
-                        c.issue + c.shared_serial
-                    }
-                };
-                continue;
-            }
-            let keys = &step.keys[..step.total.min(MAX_LANES)];
-            cycles += match step.class {
-                AccessClass::Mem => {
-                    let d = distinct_keys(keys);
-                    if d == 1 {
-                        coalesced += 1;
-                    } else {
-                        uncoalesced += d as u64;
-                    }
-                    c.issue + d as f64 * c.mem_segment
-                }
-                AccessClass::CudaLdSt => {
-                    let d = distinct_keys(keys);
-                    if d == 1 {
-                        coalesced += 1;
-                    } else {
-                        uncoalesced += d as u64;
-                    }
-                    (c.issue + d as f64 * c.mem_segment) * c.cuda_ldst_mult
-                }
-                AccessClass::AtomicRmw => {
-                    let d = distinct_keys(keys);
-                    atomic_ops += step.total as u64;
-                    atomic_conflicts += (step.total - d) as u64;
-                    c.atomic_issue
-                        + d as f64 * c.atomic_per_addr
-                        + (step.total - d) as f64 * c.atomic_aggregate
-                }
-                AccessClass::CudaAtomicRmw => {
-                    let d = distinct_keys(keys);
-                    atomic_ops += step.total as u64;
-                    atomic_conflicts += (step.total - d) as u64;
-                    (c.atomic_issue
-                        + d as f64 * c.atomic_per_addr
-                        + (step.total - d) as f64 * c.atomic_aggregate)
-                        * c.cuda_atomic_mult
-                }
-                AccessClass::SharedAtomic => {
-                    let m = max_multiplicity(keys);
-                    shared_atomics += step.total as u64;
-                    atomic_conflicts += (m - 1) as u64;
-                    c.issue + m as f64 * c.shared_serial
+            // distinct keys, or the top multiplicity for shared atomics;
+            // divergence leaves many single-lane steps, which skip the scan
+            // loops (both are 1 there)
+            let n = if total == 1 {
+                1
+            } else {
+                let keys = &step.keys[..total.min(MAX_LANES)];
+                match step.class {
+                    AccessClass::SharedAtomic => max_multiplicity(keys),
+                    _ => distinct_keys(keys),
                 }
             };
+            match step.class {
+                AccessClass::Mem | AccessClass::CudaLdSt => {
+                    if n == 1 {
+                        coalesced += 1;
+                    } else {
+                        uncoalesced += n as u64;
+                    }
+                }
+                AccessClass::AtomicRmw | AccessClass::CudaAtomicRmw => {
+                    atomic_ops += total as u64;
+                    atomic_conflicts += (total - n) as u64;
+                }
+                AccessClass::SharedAtomic => {
+                    shared_atomics += total as u64;
+                    atomic_conflicts += (n - 1) as u64;
+                }
+            }
+            for (acc, c) in cycles.iter_mut().zip(costs) {
+                *acc += step_cycles(c, step.class, n, total);
+            }
         }
         if indigo_obs::enabled() {
             use indigo_obs::Counter;
-            Counter::SimCoalescedTxns.add(coalesced);
-            Counter::SimUncoalescedTxns.add(uncoalesced);
-            Counter::SimAtomicOps.add(atomic_ops);
-            Counter::SimAtomicConflicts.add(atomic_conflicts);
-            Counter::SimSharedAtomics.add(shared_atomics);
+            // recorded once per priced device, as separate runs would
+            let devices = costs.len() as u64;
+            Counter::SimCoalescedTxns.add(coalesced * devices);
+            Counter::SimUncoalescedTxns.add(uncoalesced * devices);
+            Counter::SimAtomicOps.add(atomic_ops * devices);
+            Counter::SimAtomicConflicts.add(atomic_conflicts * devices);
+            Counter::SimSharedAtomics.add(shared_atomics * devices);
         }
         cycles
+    }
+}
+
+/// Cycles of one lockstep step of `total` lanes under cost model `c`. `n`
+/// is the step's distinct-key count, or its top key multiplicity for
+/// shared-memory atomics. A single-lane step (`n = total = 1`) prices
+/// exactly as its closed form (`issue + mem_segment`, …): multiplying by
+/// 1.0 and adding 0.0 are exact.
+#[inline(always)]
+fn step_cycles(c: &CostModel, class: AccessClass, n: usize, total: usize) -> f64 {
+    let n_f = n as f64;
+    match class {
+        AccessClass::Mem => c.issue + n_f * c.mem_segment,
+        AccessClass::CudaLdSt => (c.issue + n_f * c.mem_segment) * c.cuda_ldst_mult,
+        AccessClass::AtomicRmw => {
+            c.atomic_issue + n_f * c.atomic_per_addr + (total - n) as f64 * c.atomic_aggregate
+        }
+        AccessClass::CudaAtomicRmw => {
+            (c.atomic_issue + n_f * c.atomic_per_addr + (total - n) as f64 * c.atomic_aggregate)
+                * c.cuda_atomic_mult
+        }
+        AccessClass::SharedAtomic => c.issue + n_f * c.shared_serial,
     }
 }
 
@@ -344,7 +341,7 @@ mod tests {
             t.record(0, AccessClass::Mem, lane * 4); // consecutive u32s
         }
         let c = costs();
-        assert_eq!(t.finalize(&c), c.issue + c.mem_segment);
+        assert_eq!(t.finalize(&[c])[0], c.issue + c.mem_segment);
     }
 
     #[test]
@@ -354,7 +351,7 @@ mod tests {
             t.record(0, AccessClass::Mem, lane * 4096); // all different segments
         }
         let c = costs();
-        assert_eq!(t.finalize(&c), c.issue + 32.0 * c.mem_segment);
+        assert_eq!(t.finalize(&[c])[0], c.issue + 32.0 * c.mem_segment);
     }
 
     #[test]
@@ -366,9 +363,9 @@ mod tests {
             same.record(0, AccessClass::AtomicRmw, 0);
             scattered.record(0, AccessClass::AtomicRmw, lane * 4096);
         }
-        assert!(same.finalize(&c) < scattered.finalize(&c));
+        assert!(same.finalize(&[c])[0] < scattered.finalize(&[c])[0]);
         assert_eq!(
-            same.finalize(&c),
+            same.finalize(&[c])[0],
             c.atomic_issue + c.atomic_per_addr + 31.0 * c.atomic_aggregate
         );
     }
@@ -380,7 +377,7 @@ mod tests {
         let mut cuda = StepTable::new();
         classic.record(0, AccessClass::AtomicRmw, 128);
         cuda.record(0, AccessClass::CudaAtomicRmw, 128);
-        let ratio = cuda.finalize(&c) / classic.finalize(&c);
+        let ratio = cuda.finalize(&[c])[0] / classic.finalize(&[c])[0];
         assert!((ratio - c.cuda_atomic_mult).abs() < 1e-9);
     }
 
@@ -393,8 +390,8 @@ mod tests {
             same.record(0, AccessClass::SharedAtomic, 0);
             spread.record(0, AccessClass::SharedAtomic, lane * 8);
         }
-        assert_eq!(same.finalize(&c), c.issue + 32.0 * c.shared_serial);
-        assert_eq!(spread.finalize(&c), c.issue + c.shared_serial);
+        assert_eq!(same.finalize(&[c])[0], c.issue + 32.0 * c.shared_serial);
+        assert_eq!(spread.finalize(&[c])[0], c.issue + c.shared_serial);
     }
 
     #[test]
@@ -409,7 +406,7 @@ mod tests {
             t.record(0, AccessClass::Mem, lane * 4);
         }
         assert_eq!(t.steps_used(), 10);
-        assert!(t.finalize(&c) >= 10.0 * c.issue);
+        assert!(t.finalize(&[c])[0] >= 10.0 * c.issue);
     }
 
     #[test]
@@ -418,7 +415,7 @@ mod tests {
         t.record(0, AccessClass::Mem, 0);
         t.clear();
         assert_eq!(t.steps_used(), 0);
-        assert_eq!(t.finalize(&costs()), 0.0);
+        assert_eq!(t.finalize(&[costs()])[0], 0.0);
     }
 
     #[test]
@@ -431,6 +428,36 @@ mod tests {
         t.clear();
         t.record(0, AccessClass::AtomicRmw, 0);
         assert_eq!(t.recorded(), 33);
+    }
+
+    /// Pricing a round for two models at once gives each model exactly the
+    /// bits it gets alone, for every access class and for divergent,
+    /// single-lane and scattered steps alike.
+    #[test]
+    fn two_models_price_like_two_single_passes() {
+        let tv = titan_v().cost;
+        let rtx = crate::device::rtx3090().cost;
+        let mut t = StepTable::new();
+        let classes = [
+            AccessClass::Mem,
+            AccessClass::CudaLdSt,
+            AccessClass::AtomicRmw,
+            AccessClass::CudaAtomicRmw,
+            AccessClass::SharedAtomic,
+        ];
+        for lane in 0..32u64 {
+            for (ord, &class) in classes.iter().enumerate() {
+                t.record(ord, class, (lane * 37 + ord as u64) % 9 * 4096);
+            }
+            // a divergent lane runs one extra single-lane step
+            if lane == 5 {
+                t.record(classes.len(), AccessClass::AtomicRmw, 8);
+            }
+        }
+        let both = t.finalize(&[tv, rtx]);
+        assert_eq!(both[0].to_bits(), t.finalize(&[tv])[0].to_bits());
+        assert_eq!(both[1].to_bits(), t.finalize(&[rtx])[0].to_bits());
+        assert_ne!(both[0], both[1]);
     }
 
     #[test]

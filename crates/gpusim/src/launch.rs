@@ -15,10 +15,16 @@
 //! `epilogue` closure that [`Sim::launch_coop`] runs once per item after its
 //! lanes finish, with the group total visible; the shuffle/barrier cycles
 //! are charged at that boundary.
+//!
+//! A [`Sim`] prices every launch for a *device set* of one or two devices
+//! ([`Sim::for_devices`]). Execution does not depend on the device as long
+//! as every device gives the launch the same grid: the lanes, their items
+//! and their access trace are then identical, so one functional run is
+//! recorded once and priced per device.
 
 use crate::buffer::{BufKind, GpuBuf, GpuBufF32};
-use crate::cost::{AccessClass, StepTable};
-use crate::device::Device;
+use crate::cost::{AccessClass, PerDevice, StepTable, MAX_DEVICES};
+use crate::device::{CostModel, Device};
 use crate::fault::FaultPlan;
 use crate::pool::{self, SimPool};
 use crate::WARP_SIZE;
@@ -281,6 +287,16 @@ const SHARED_CTR_ADDR: u64 = 0x7ffe_0000_0000;
 /// One `Sim` spans one algorithm run: every launch adds its simulated
 /// cycles; [`Sim::elapsed_secs`] converts to seconds at the device clock.
 ///
+/// ## Device sets
+///
+/// [`Sim::new`] simulates one device. [`Sim::for_devices`] simulates the
+/// same run on up to [`MAX_DEVICES`] devices that share `block_dim`: each
+/// launch executes once and every device keeps its own clock, SM merge and
+/// telemetry, so each device's figures are bit-identical to a one-device
+/// `Sim` of it. A launch whose grid differs between the devices (a
+/// persistent launch sizes its grid by SM count) panics instead: its lanes
+/// would map to different items on each device.
+///
 /// ## Multi-threaded simulation
 ///
 /// [`Sim::set_workers`] lets launches that opt in via the `_det` entry
@@ -314,8 +330,12 @@ const SHARED_CTR_ADDR: u64 = 0x7ffe_0000_0000;
 /// which the harness records as `TimedOut`; an injected panic unwinds with
 /// a plain message, recorded as `Crashed`.
 pub struct Sim {
-    device: Device,
-    cycles: f64,
+    /// The device set, `[..n_devices]` live.
+    devices: [Device; MAX_DEVICES],
+    /// The devices' cost models, in set order, for one-pass pricing.
+    costs: [CostModel; MAX_DEVICES],
+    n_devices: usize,
+    cycles: PerDevice,
     launches: usize,
     accesses: u64,
     workers: usize,
@@ -335,7 +355,8 @@ type NoEpilogue = fn(&mut LaneCtx, usize);
 
 /// Geometry and pricing context shared by every block of one launch.
 struct LaunchShape<'s> {
-    device: Device,
+    /// Cost models of the device set, priced in one pass per warp round.
+    costs: &'s [CostModel],
     items: usize,
     assign: Assign,
     persistent: bool,
@@ -351,14 +372,14 @@ struct LaunchShape<'s> {
 }
 
 /// Everything one simulated block contributes to the launch: its cycle
-/// cost, critical-path warp, reduction partials, access count, and whether
-/// it did any work at all. Private to each simulating thread until the
-/// block-ordered merge. `Copy` so pooled workers can publish outcomes into
-/// plain arena slots.
+/// cost and critical-path warp per device, reduction partials, access
+/// count, and whether it did any work at all. Private to each simulating
+/// thread until the block-ordered merge. `Copy` so pooled workers can
+/// publish outcomes into plain arena slots.
 #[derive(Clone, Copy, Debug, Default)]
 struct BlockOutcome {
-    cycles: f64,
-    longest_warp: f64,
+    cycles: PerDevice,
+    longest_warp: PerDevice,
     sum_u64: u64,
     sum_f32: f32,
     accesses: u64,
@@ -381,11 +402,12 @@ struct SimScratch {
     /// Block-simulation scratch for the calling thread (the pool's workers
     /// each own their own long-lived table).
     table: StepTable,
-    /// Per-SM critical-path warp cycles, reset per launch.
-    sm_crit: Vec<f64>,
-    /// Backing storage for the SM merge heap; round-trips through
-    /// `BinaryHeap::from` / `into_vec` so its capacity is never dropped.
-    heap: Vec<SmSlot>,
+    /// Per-SM critical-path warp cycles per device, reset per launch.
+    sm_crit: [Vec<f64>; MAX_DEVICES],
+    /// Backing storage for each device's SM merge heap; round-trips
+    /// through `BinaryHeap::from` / `into_vec` so its capacity is never
+    /// dropped.
+    heap: [Vec<SmSlot>; MAX_DEVICES],
     /// Index-addressed block outcome slots for pooled launches.
     arena: Vec<BlockOutcome>,
 }
@@ -448,15 +470,34 @@ impl SlotPtr {
 }
 
 impl Sim {
-    /// New simulator clocked at zero, single-threaded.
+    /// New one-device simulator clocked at zero, single-threaded.
     pub fn new(device: Device) -> Self {
+        Sim::for_devices(&[device])
+    }
+
+    /// New simulator pricing every launch for each of `devices` (one or
+    /// two, sharing `block_dim`), clocked at zero, single-threaded.
+    pub fn for_devices(devices: &[Device]) -> Self {
+        let n_devices = devices.len();
+        assert!(
+            (1..=MAX_DEVICES).contains(&n_devices),
+            "a Sim prices 1 to {MAX_DEVICES} devices, not {n_devices}"
+        );
+        assert!(
+            devices.iter().all(|d| d.block_dim == devices[0].block_dim),
+            "the devices of one Sim must share block_dim"
+        );
+        let mut set = [devices[0]; MAX_DEVICES];
+        set[..n_devices].copy_from_slice(devices);
         let scratch = SimScratch {
             table: CALLER_TABLE.with(std::cell::Cell::take).unwrap_or_default(),
             ..SimScratch::default()
         };
         Sim {
-            device,
-            cycles: 0.0,
+            devices: set,
+            costs: set.map(|d| d.cost),
+            n_devices,
+            cycles: [0.0; MAX_DEVICES],
             launches: 0,
             accesses: 0,
             workers: 1,
@@ -500,11 +541,12 @@ impl Sim {
             token.checkpoint();
         }
         if let Some(budget) = self.cycle_budget {
-            if self.cycles > budget {
+            // every device's clock is held to the budget
+            if let Some(spent) = self.cycles[..self.n_devices].iter().find(|&&c| c > budget) {
                 let reason = format!(
                     "simulated-cycle budget of {budget:.0} cycles exceeded at launch {} \
-                     ({:.0} cycles elapsed)",
-                    self.launches, self.cycles
+                     ({spent:.0} cycles elapsed)",
+                    self.launches
                 );
                 if let Some(token) = &self.cancel {
                     token.fire(reason);
@@ -523,19 +565,29 @@ impl Sim {
         self.workers
     }
 
-    /// The device being simulated.
+    /// The (first) device being simulated.
     pub fn device(&self) -> &Device {
-        &self.device
+        &self.devices[0]
     }
 
-    /// Total simulated cycles so far.
+    /// Total simulated cycles so far on the (first) device.
     pub fn elapsed_cycles(&self) -> f64 {
-        self.cycles
+        self.elapsed_cycles_on(0)
     }
 
-    /// Total simulated seconds so far.
+    /// Total simulated seconds so far on the (first) device.
     pub fn elapsed_secs(&self) -> f64 {
-        self.device.cycles_to_secs(self.cycles)
+        self.elapsed_secs_on(0)
+    }
+
+    /// Total simulated cycles so far on device `k` of the set.
+    pub fn elapsed_cycles_on(&self, k: usize) -> f64 {
+        self.cycles[..self.n_devices][k]
+    }
+
+    /// Total simulated seconds so far on device `k` of the set.
+    pub fn elapsed_secs_on(&self, k: usize) -> f64 {
+        self.devices[..self.n_devices][k].cycles_to_secs(self.cycles[k])
     }
 
     /// Number of kernel launches so far.
@@ -553,7 +605,7 @@ impl Sim {
     /// Resets the clock and access counter (e.g. to exclude initialization
     /// from timing).
     pub fn reset_clock(&mut self) {
-        self.cycles = 0.0;
+        self.cycles = [0.0; MAX_DEVICES];
         self.launches = 0;
         self.accesses = 0;
     }
@@ -773,21 +825,31 @@ impl Sim {
         E: Fn(&mut LaneCtx, usize) + Sync,
     {
         self.supervise();
-        let d = self.device;
-        let block_dim = d.block_dim;
+        let devices = &self.devices[..self.n_devices];
+        let block_dim = devices[0].block_dim; // shared by the whole set
         let lanes_per_item = match assign {
             Assign::ThreadPerItem => 1,
             Assign::WarpPerItem => WARP_SIZE,
             Assign::BlockPerItem => block_dim,
         };
         let items_per_block = block_dim / lanes_per_item;
-        let grid_blocks = if persistent {
-            (d.sm_count * d.resident_blocks_per_sm).max(1)
-        } else {
-            items.div_ceil(items_per_block).max(1)
+        let grid_of = |d: &Device| {
+            if persistent {
+                (d.sm_count * d.resident_blocks_per_sm).max(1)
+            } else {
+                items.div_ceil(items_per_block).max(1)
+            }
         };
+        let grid_blocks = grid_of(&devices[0]);
+        // one functional run serves every device only if each gives the
+        // launch the same grid (and so the same lane-to-item map)
+        assert!(
+            devices.iter().all(|d| grid_of(d) == grid_blocks),
+            "launch geometry differs across the device set: grids of {:?} blocks",
+            devices.iter().map(grid_of).collect::<Vec<_>>()
+        );
         let shape = LaunchShape {
-            device: d,
+            costs: &self.costs[..self.n_devices],
             items,
             assign,
             persistent,
@@ -799,22 +861,26 @@ impl Sim {
             cancel: self.cancel.as_ref(),
         };
 
-        // Reusable merge state: the SM heap starts with every SM at zero
-        // work (heapified in place over the retained storage) and sm_crit is
-        // zeroed within capacity.
+        // Reusable merge state: each device's SM heap starts with every SM
+        // at zero work (heapified in place over the retained storage) and
+        // its sm_crit is zeroed within capacity.
         let scratch = &mut self.scratch;
-        let mut store = std::mem::take(&mut scratch.heap);
-        store.clear();
-        store.extend((0..d.sm_count).map(|sm| SmSlot { work: 0.0, sm }));
         let mut merge = Merge {
-            heap: BinaryHeap::from(store),
+            heaps: Default::default(),
             sm_crit: &mut scratch.sm_crit,
+            n_devices: devices.len(),
             total_u64: 0,
             total_f32: 0.0,
             accesses: 0,
         };
-        merge.sm_crit.clear();
-        merge.sm_crit.resize(d.sm_count, 0.0);
+        for (k, d) in devices.iter().enumerate() {
+            let mut store = std::mem::take(&mut scratch.heap[k]);
+            store.clear();
+            store.extend((0..d.sm_count).map(|sm| SmSlot { work: 0.0, sm }));
+            merge.heaps[k] = BinaryHeap::from(store);
+            merge.sm_crit[k].clear();
+            merge.sm_crit[k].resize(d.sm_count, 0.0);
+        }
 
         // Blocks are mutually independent simulations; the only cross-block
         // state is the block-ordered merge, which always runs serially in
@@ -861,33 +927,38 @@ impl Sim {
             }
         }
 
-        let kernel_time = merge
-            .heap
-            .iter()
-            .map(|s| (s.work / d.warp_parallelism).max(merge.sm_crit[s.sm]))
-            .fold(0.0f64, f64::max);
         let (total_u64, total_f32, accesses) = (merge.total_u64, merge.total_f32, merge.accesses);
-        if indigo_obs::enabled() {
-            use indigo_obs::{Counter, Hist};
-            let launch_cycles = kernel_time + d.cost.launch;
-            Counter::SimLaunches.incr();
-            Counter::SimCycles.add(launch_cycles as u64);
-            Counter::SimGlobalAccesses.add(accesses);
-            Hist::LaunchCycles.record(launch_cycles as u64);
-            // Occupancy imbalance: max per-SM work over the mean, permille.
-            // 1000 = perfectly balanced; read before the heap is stowed.
-            let (mut max_w, mut sum_w, mut n) = (0.0f64, 0.0f64, 0u32);
-            for s in merge.heap.iter() {
-                max_w = max_w.max(s.work);
-                sum_w += s.work;
-                n += 1;
+        for (k, d) in devices.iter().enumerate() {
+            let heap = std::mem::take(&mut merge.heaps[k]);
+            let sm_crit = &merge.sm_crit[k];
+            let kernel_time = heap
+                .iter()
+                .map(|s| (s.work / d.warp_parallelism).max(sm_crit[s.sm]))
+                .fold(0.0f64, f64::max);
+            if indigo_obs::enabled() {
+                use indigo_obs::{Counter, Hist};
+                let launch_cycles = kernel_time + d.cost.launch;
+                Counter::SimLaunches.incr();
+                Counter::SimCycles.add(launch_cycles as u64);
+                Counter::SimGlobalAccesses.add(accesses);
+                Hist::LaunchCycles.record(launch_cycles as u64);
+                // Occupancy imbalance: max per-SM work over the mean,
+                // permille. 1000 = perfectly balanced; read before the heap
+                // is stowed.
+                let (mut max_w, mut sum_w, mut n) = (0.0f64, 0.0f64, 0u32);
+                for s in heap.iter() {
+                    max_w = max_w.max(s.work);
+                    sum_w += s.work;
+                    n += 1;
+                }
+                if n > 0 && sum_w > 0.0 {
+                    Hist::SmImbalancePermille
+                        .record((max_w * f64::from(n) / sum_w * 1000.0) as u64);
+                }
             }
-            if n > 0 && sum_w > 0.0 {
-                Hist::SmImbalancePermille.record((max_w * f64::from(n) / sum_w * 1000.0) as u64);
-            }
+            scratch.heap[k] = heap.into_vec();
+            self.cycles[k] += kernel_time + d.cost.launch;
         }
-        scratch.heap = merge.heap.into_vec();
-        self.cycles += kernel_time + d.cost.launch;
         self.launches += 1;
         self.accesses += accesses;
         // a kernel launch boundary synchronizes the whole device: classify
@@ -906,13 +977,14 @@ impl Drop for Sim {
     }
 }
 
-/// Block-ordered merge state: greedy least-loaded SM assignment and the
-/// reduction totals see blocks in exactly the serial order, which is what
-/// keeps cycles and `f32` sums bit-identical across worker counts (see
-/// [`SmSlot`] for the heap/`min_by` equivalence).
+/// Block-ordered merge state: greedy least-loaded SM assignment (one heap
+/// per device) and the reduction totals see blocks in exactly the serial
+/// order, which is what keeps cycles and `f32` sums bit-identical across
+/// worker counts (see [`SmSlot`] for the heap/`min_by` equivalence).
 struct Merge<'a> {
-    heap: BinaryHeap<SmSlot>,
-    sm_crit: &'a mut Vec<f64>,
+    heaps: [BinaryHeap<SmSlot>; MAX_DEVICES],
+    sm_crit: &'a mut [Vec<f64>; MAX_DEVICES],
+    n_devices: usize,
     total_u64: u64,
     total_f32: f32,
     accesses: u64,
@@ -925,11 +997,13 @@ impl Merge<'_> {
         if !out.any {
             return;
         }
-        let mut top = self.heap.peek_mut().expect("sm_count >= 1");
-        top.work += out.cycles;
-        let sm = top.sm;
-        drop(top); // sift the updated SM back into heap order
-        self.sm_crit[sm] = self.sm_crit[sm].max(out.longest_warp);
+        for k in 0..self.n_devices {
+            let mut top = self.heaps[k].peek_mut().expect("sm_count >= 1");
+            top.work += out.cycles[k];
+            let sm = top.sm;
+            drop(top); // sift the updated SM back into heap order
+            self.sm_crit[k][sm] = self.sm_crit[k][sm].max(out.longest_warp[k]);
+        }
         self.total_u64 += out.sum_u64;
         self.total_f32 += out.sum_f32;
     }
@@ -954,7 +1028,7 @@ where
     if shape.assign == Assign::ThreadPerItem && shape.reduce.is_none() && epilogue.is_none() {
         return run_block_thread_fast(shape, b, kernel, table);
     }
-    let c = shape.device.cost;
+    let costs = shape.costs;
     let LaunchShape {
         items,
         assign,
@@ -967,11 +1041,11 @@ where
         ..
     } = *shape;
     // cycles of a group-scratch reduction over `lanes` lanes
-    let coop_cost = |lanes: usize| (lanes.max(2) as f64).log2() * c.shuffle_step;
+    let coop_cost = |lanes: usize, c: &CostModel| (lanes.max(2) as f64).log2() * c.shuffle_step;
 
     let accesses_before = table.recorded();
-    let mut block_cycles = 0.0f64;
-    let mut longest_warp = 0.0f64;
+    let mut block_cycles: PerDevice = [0.0; MAX_DEVICES];
+    let mut longest_warp: PerDevice = [0.0; MAX_DEVICES];
     let mut block_u64 = 0u64;
     let mut block_f32 = 0.0f32;
     let mut block_reduce_calls = 0usize;
@@ -1084,16 +1158,21 @@ where
             }
 
             if warp_any {
-                let mut wc = table.finalize(&c);
-                if epilogue.is_some() && assign != Assign::ThreadPerItem {
-                    wc += coop_cost(WARP_SIZE);
-                }
-                if warp_reduce_calls > 0 && matches!(reduce, Some((ReduceStyle::ReductionAdd, _))) {
-                    wc += coop_cost(WARP_SIZE);
+                let priced = table.finalize(costs);
+                for (k, c) in costs.iter().enumerate() {
+                    let mut wc = priced[k];
+                    if epilogue.is_some() && assign != Assign::ThreadPerItem {
+                        wc += coop_cost(WARP_SIZE, c);
+                    }
+                    if warp_reduce_calls > 0
+                        && matches!(reduce, Some((ReduceStyle::ReductionAdd, _)))
+                    {
+                        wc += coop_cost(WARP_SIZE, c);
+                    }
+                    block_cycles[k] += wc;
+                    longest_warp[k] = longest_warp[k].max(wc);
                 }
                 block_reduce_calls += warp_reduce_calls;
-                block_cycles += wc;
-                longest_warp = longest_warp.max(wc);
                 block_any = true;
             }
         }
@@ -1124,8 +1203,11 @@ where
                 block_u64 += ctx.red_u64;
                 block_f32 += ctx.red_f32;
                 block_reduce_calls += ctx.red_calls;
-                block_cycles +=
-                    table.finalize(&c) + c.barrier + warps_per_block as f64 * c.shared_serial;
+                let priced = table.finalize(costs);
+                for (k, c) in costs.iter().enumerate() {
+                    block_cycles[k] +=
+                        priced[k] + c.barrier + warps_per_block as f64 * c.shared_serial;
+                }
             }
         }
 
@@ -1138,30 +1220,32 @@ where
     if !block_any {
         return BlockOutcome::default();
     }
-    // per-block epilogue for the block-cooperative reduction styles
-    if block_reduce_calls > 0 {
-        if let Some((style, kind)) = &reduce {
-            let global_add = match LaneCtx::rmw_class(*kind) {
-                AccessClass::CudaAtomicRmw => {
-                    (c.atomic_issue + c.atomic_per_addr) * c.cuda_atomic_mult
-                }
-                _ => c.atomic_issue + c.atomic_per_addr,
-            };
-            match style {
-                ReduceStyle::GlobalAdd => {}
-                ReduceStyle::BlockAdd => {
-                    block_cycles += c.barrier + global_add;
-                }
-                ReduceStyle::ReductionAdd => {
-                    // two barriers (Listing 10c) + per-warp shared
-                    // stores + the single global add
-                    block_cycles +=
-                        2.0 * c.barrier + warps_per_block as f64 * c.shared_serial + global_add;
+    for (k, c) in costs.iter().enumerate() {
+        // per-block epilogue for the block-cooperative reduction styles
+        if block_reduce_calls > 0 {
+            if let Some((style, kind)) = &reduce {
+                let global_add = match LaneCtx::rmw_class(*kind) {
+                    AccessClass::CudaAtomicRmw => {
+                        (c.atomic_issue + c.atomic_per_addr) * c.cuda_atomic_mult
+                    }
+                    _ => c.atomic_issue + c.atomic_per_addr,
+                };
+                match style {
+                    ReduceStyle::GlobalAdd => {}
+                    ReduceStyle::BlockAdd => {
+                        block_cycles[k] += c.barrier + global_add;
+                    }
+                    ReduceStyle::ReductionAdd => {
+                        // two barriers (Listing 10c) + per-warp shared
+                        // stores + the single global add
+                        block_cycles[k] +=
+                            2.0 * c.barrier + warps_per_block as f64 * c.shared_serial + global_add;
+                    }
                 }
             }
         }
+        block_cycles[k] += c.block_sched;
     }
-    block_cycles += c.block_sched;
 
     BlockOutcome {
         cycles: block_cycles,
@@ -1189,10 +1273,10 @@ fn run_block_thread_fast<F>(
 where
     F: Fn(&mut LaneCtx, usize) + Sync,
 {
-    let c = shape.device.cost;
+    let costs = shape.costs;
     let accesses_before = table.recorded();
-    let mut block_cycles = 0.0f64;
-    let mut longest_warp = 0.0f64;
+    let mut block_cycles: PerDevice = [0.0; MAX_DEVICES];
+    let mut longest_warp: PerDevice = [0.0; MAX_DEVICES];
     let mut block_u64 = 0u64;
     let mut block_f32 = 0.0f32;
     let mut block_any = false;
@@ -1238,9 +1322,11 @@ where
                 block_u64 += ctx.red_u64;
                 block_f32 += ctx.red_f32;
             }
-            let wc = table.finalize(&c);
-            block_cycles += wc;
-            longest_warp = longest_warp.max(wc);
+            let priced = table.finalize(costs);
+            for k in 0..costs.len() {
+                block_cycles[k] += priced[k];
+                longest_warp[k] = longest_warp[k].max(priced[k]);
+            }
         }
         round += 1;
         if !shape.persistent {
@@ -1251,7 +1337,9 @@ where
     if !block_any {
         return BlockOutcome::default();
     }
-    block_cycles += c.block_sched;
+    for (k, c) in costs.iter().enumerate() {
+        block_cycles[k] += c.block_sched;
+    }
     BlockOutcome {
         cycles: block_cycles,
         longest_warp,
@@ -1698,6 +1786,102 @@ mod tests {
         }))
         .unwrap_err();
         assert!(indigo_cancel::as_cancelled(err.as_ref()).is_some());
+    }
+
+    // ---------- device sets ----------
+
+    /// A launch mix covering the thread fast path, warp and block
+    /// cooperation, every reduction style and pooled `_det` blocks.
+    fn launch_mix(s: &mut Sim) -> (u64, u32, Vec<u32>) {
+        let n = 3000;
+        let data = GpuBuf::new(n, 1).with_kind(BufKind::CudaAtomic);
+        let out = GpuBuf::new(n, 0);
+        let half = GpuBufF32::new(7, 0.5);
+        s.launch(n, Assign::ThreadPerItem, false, |ctx, i| {
+            let v = ctx.ld(&data, (i * 97) % n);
+            ctx.atomic_min(&data, i, v);
+        });
+        let mut total = 0u64;
+        for style in [
+            ReduceStyle::GlobalAdd,
+            ReduceStyle::BlockAdd,
+            ReduceStyle::ReductionAdd,
+        ] {
+            total += s.launch_reduce_u64_det(
+                n / 8,
+                Assign::WarpPerItem,
+                false,
+                style,
+                BufKind::Atomic,
+                |ctx, i| {
+                    let v = ctx.ld(&data, (i + ctx.lane()) % n);
+                    ctx.reduce_add_u64(u64::from(v));
+                },
+            );
+        }
+        let (_, f) = s.launch_coop(
+            40,
+            Assign::BlockPerItem,
+            false,
+            Some((ReduceStyle::ReductionAdd, BufKind::Atomic)),
+            |ctx, i| {
+                let v = ctx.ld_f32(&half, ctx.lane() % 7);
+                ctx.scratch_add_f32(v + i as f32);
+            },
+            |ctx, i| {
+                let group = ctx.group_f32();
+                ctx.st(&out, i, group as u32);
+                ctx.reduce_add_f32(group);
+            },
+        );
+        (total, f.to_bits(), out.to_vec())
+    }
+
+    #[test]
+    fn two_device_sim_prices_each_device_like_its_own_sim() {
+        for workers in [1, 2] {
+            let mut pair = Sim::for_devices(&[titan_v(), rtx3090()]);
+            pair.set_workers(workers);
+            let paired = launch_mix(&mut pair);
+            for (k, dev) in [titan_v(), rtx3090()].into_iter().enumerate() {
+                let mut one = Sim::new(dev);
+                one.set_workers(workers);
+                assert_eq!(launch_mix(&mut one), paired, "functional result");
+                assert_eq!(
+                    pair.elapsed_cycles_on(k).to_bits(),
+                    one.elapsed_cycles().to_bits(),
+                    "{} with {workers} workers",
+                    dev.name
+                );
+                assert_eq!(
+                    pair.elapsed_secs_on(k).to_bits(),
+                    one.elapsed_secs().to_bits()
+                );
+                assert_eq!(pair.launches(), one.launches());
+                assert_eq!(pair.accesses(), one.accesses());
+            }
+            assert_ne!(pair.elapsed_cycles_on(0), pair.elapsed_cycles_on(1));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "launch geometry differs")]
+    fn persistent_launch_with_differing_grids_trips_the_geometry_assert() {
+        // 80 × 8 = 640 resident blocks on one device, 82 × 8 = 656 on the
+        // other: the lanes would map to different items
+        let mut s = Sim::for_devices(&[titan_v(), rtx3090()]);
+        let data = GpuBuf::new(1000, 0);
+        s.launch(1000, Assign::ThreadPerItem, true, |ctx, i| {
+            ctx.ld(&data, i);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "share block_dim")]
+    fn devices_with_different_block_dims_are_rejected() {
+        let mut small = rtx3090();
+        small.block_dim = 128;
+        Sim::for_devices(&[titan_v(), small]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::journal::{self, JournalEntry, JournalOutcome};
 use crate::outcome::{CellFaultKind, CellOutcome, CellRecord, MatrixRun, Resilience};
 use crate::schedule::{ProgressEvent, RunOptions, RunPhase};
 use indigo_cancel::CancelToken;
-use indigo_core::gpu::DeviceGraph;
+use indigo_core::gpu::{persistent_of, DeviceGraph};
 use indigo_core::{
     run_gpu_supervised, run_variant_supervised, verify, GraphInput, Output, SimStats, Supervision,
     Target,
@@ -29,6 +29,7 @@ use indigo_gpusim::{rtx3090, titan_v, Device, FaultKind, FaultPlan};
 use indigo_graph::gen::{suite_graph, Scale, SuiteGraph, SUITE_GRAPHS};
 use indigo_styles::{enumerate, Algorithm, Model, StyleConfig};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -297,6 +298,7 @@ impl RunPlan {
                 let dg = DeviceGraph::upload(&input);
                 (input, dg)
             },
+            |_| 1,
             |done| {
                 progress(ProgressEvent::Cell {
                     phase: RunPhase::Prepare,
@@ -317,15 +319,8 @@ impl RunPlan {
         let (gpu_cells, cpu_cells, total_cells) = self.enumerate_cells();
         let slots: Vec<OnceLock<CellRecord>> = (0..total_cells).map(|_| OnceLock::new()).collect();
 
-        let exec_cell = |cell: &Cell| -> CellRecord {
-            let record = self.execute_cell(
-                cell,
-                &inputs[cell.graph],
-                options,
-                res,
-                watchdog.as_ref(),
-                &resumed,
-            );
+        // journals a freshly executed record and fills its slot
+        let settle = |cell: &Cell, record: CellRecord| {
             if !record.resumed {
                 if let Some(j) = &writer {
                     if let Err(e) = j.record(&record) {
@@ -336,10 +331,24 @@ impl RunPlan {
                     }
                 }
             }
-            record
+            let filled = slots[cell.slot].set(record);
+            debug_assert!(filled.is_ok(), "slot {} measured twice", cell.slot);
+        };
+        let exec_cell = |cell: &Cell| {
+            let record = self.execute_cell(
+                cell,
+                &inputs[cell.graph],
+                options,
+                res,
+                watchdog.as_ref(),
+                &resumed,
+            );
+            settle(cell, record);
         };
 
-        // ---- phase 2: GPU-sim cells, fanned across the job pool
+        // ---- phase 2: GPU-sim cells, fanned across the job pool; a job is
+        // one cell, or a device pair sharing one simulation (`gpu_jobs`)
+        let gpu_jobs = self.gpu_jobs(&gpu_cells, res, &resumed);
         let started = Instant::now();
         let started_us = indigo_obs::now_micros();
         progress(ProgressEvent::PhaseStart {
@@ -347,13 +356,19 @@ impl RunPlan {
             total: gpu_cells.len(),
         });
         run_indexed_parallel(
-            gpu_cells.len(),
+            gpu_jobs.len(),
             jobs,
-            |i| {
-                let cell = &gpu_cells[i];
-                let filled = slots[cell.slot].set(exec_cell(cell));
-                debug_assert!(filled.is_ok(), "slot {} measured twice", cell.slot);
+            |j| match &gpu_cells[gpu_jobs[j].clone()] {
+                [cell] => exec_cell(cell),
+                [a, b] => {
+                    let prepared = &inputs[a.graph];
+                    let [ra, rb] = self.execute_pair([a, b], prepared, options);
+                    settle(a, ra);
+                    settle(b, rb);
+                }
+                _ => unreachable!("GPU jobs hold one or two cells"),
             },
+            |j| gpu_jobs[j].len(),
             |done| {
                 progress(ProgressEvent::Cell {
                     phase: RunPhase::GpuSim,
@@ -378,8 +393,7 @@ impl RunPlan {
             total: cpu_cells.len(),
         });
         for (done, cell) in cpu_cells.iter().enumerate() {
-            let filled = slots[cell.slot].set(exec_cell(cell));
-            debug_assert!(filled.is_ok(), "slot {} measured twice", cell.slot);
+            exec_cell(cell);
             progress(ProgressEvent::Cell {
                 phase: RunPhase::CpuWall,
                 done: done + 1,
@@ -431,6 +445,56 @@ impl RunPlan {
         (gpu_cells, cpu_cells, slot)
     }
 
+    /// The journal fingerprint and the labels of one cell.
+    fn identity(&self, cell: &Cell) -> (u64, String, &'static str, String) {
+        let variant = self.variants[cell.variant].name();
+        let graph = self.graphs[cell.graph].label();
+        let target = cell.target.label();
+        let fp = journal::fingerprint(self.scale, self.reps, self.verify, &variant, graph, &target);
+        (fp, variant, graph, target)
+    }
+
+    /// Groups the GPU cells into jobs of one cell or of a device pair. A
+    /// variant's two GPU cells on one graph share one simulation, priced
+    /// for both devices, when that cannot change either outcome: the
+    /// variant is not persistent (a persistent grid is sized by SM count,
+    /// so the devices' lanes would map to different items), the devices
+    /// share `block_dim`, nothing is armed for either cell (fault, cycle
+    /// budget, wall-clock timeout) and neither is replayed from a journal.
+    fn gpu_jobs(
+        &self,
+        cells: &[Cell],
+        res: &Resilience,
+        resumed: &HashMap<u64, JournalEntry>,
+    ) -> Vec<Range<usize>> {
+        let unarmed = res.cell_timeout.is_none() && res.cycle_budget.is_none();
+        let pairable = |a: &Cell, b: &Cell| {
+            let (TargetSpec::Gpu(da), TargetSpec::Gpu(db)) = (&a.target, &b.target) else {
+                return false;
+            };
+            unarmed
+                && a.graph == b.graph
+                && a.variant == b.variant
+                && !persistent_of(&self.variants[a.variant])
+                && da.block_dim == db.block_dim
+                && [a, b].iter().all(|c| {
+                    res.fault.is_none_or(|f| f.cell != c.slot)
+                        && !resumed.contains_key(&self.identity(c).0)
+                })
+        };
+        let mut jobs = Vec::with_capacity(cells.len());
+        let mut i = 0;
+        while i < cells.len() {
+            let len = match cells.get(i..i + 2) {
+                Some([a, b]) if pairable(a, b) => 2,
+                _ => 1,
+            };
+            jobs.push(i..i + len);
+            i += len;
+        }
+        jobs
+    }
+
     /// Runs (or replays) one cell to a [`CellRecord`]. This is the
     /// isolation boundary: whatever happens inside — panic, cancellation,
     /// verification failure — ends as a structured outcome, never an
@@ -446,17 +510,7 @@ impl RunPlan {
     ) -> CellRecord {
         let cfg = &self.variants[cell.variant];
         let which = self.graphs[cell.graph];
-        let variant = cfg.name();
-        let graph_label = which.label();
-        let target_label = cell.target.label();
-        let fp = journal::fingerprint(
-            self.scale,
-            self.reps,
-            self.verify,
-            &variant,
-            graph_label,
-            &target_label,
-        );
+        let (fp, variant, graph_label, target_label) = self.identity(cell);
         if let Some(entry) = resumed.get(&fp) {
             return replay_record(fp, cfg, graph_label, &target_label, &variant, entry);
         }
@@ -503,11 +557,7 @@ impl RunPlan {
         }
 
         let (input, dg) = prepared;
-        let cell_started_us = if indigo_obs::enabled() {
-            indigo_obs::now_micros()
-        } else {
-            0
-        };
+        let started_us = cell_clock();
         let run = catch_unwind(AssertUnwindSafe(|| {
             match harness_fault {
                 Some(CellFaultKind::Panic) => {
@@ -533,59 +583,90 @@ impl RunPlan {
                 corrupt,
             )
         }));
-        let mut sim_stats = None;
-        let outcome = match run {
-            Ok(Ok((m, s))) => {
-                sim_stats = s;
-                CellOutcome::Ok(m)
-            }
-            Ok(Err(detail)) => CellOutcome::WrongAnswer { detail },
-            Err(payload) => match indigo_cancel::as_cancelled(payload.as_ref()) {
-                Some(c) => CellOutcome::TimedOut {
-                    budget_secs: guard
-                        .as_ref()
-                        .filter(|g| g.wall_fired())
-                        .and(res.cell_timeout)
-                        .map(|d| d.as_secs_f64()),
-                    reason: c.reason.clone(),
-                },
-                None => CellOutcome::Crashed {
-                    payload: indigo_cancel::payload_text(payload.as_ref()),
-                },
-            },
-        };
+        let wall_budget = guard
+            .as_ref()
+            .filter(|g| g.wall_fired())
+            .and(res.cell_timeout)
+            .map(|d| d.as_secs_f64());
         drop(guard);
-        if indigo_obs::enabled() {
-            let dur_us = indigo_obs::now_micros().saturating_sub(cell_started_us);
-            indigo_obs::Hist::CellMicros.record(dur_us);
-            let mut ev = indigo_obs::TraceEvent::span(
-                "cell",
-                format!("{variant}|{graph_label}|{target_label}"),
-                cell_started_us,
-                dur_us.max(1),
-            )
-            .with_arg("outcome", outcome.label());
-            if let CellOutcome::Ok(m) = &outcome {
-                ev = ev
-                    .with_arg("geps", format!("{:.6}", m.geps))
-                    .with_arg("iterations", m.iterations.to_string());
-            }
-            if let Some(s) = sim_stats {
-                ev = ev
-                    .with_arg("sim_cycles", format!("{:.0}", s.cycles))
-                    .with_arg("sim_launches", s.launches.to_string())
-                    .with_arg("sim_accesses", s.accesses.to_string());
-            }
-            indigo_obs::emit(&ev);
-        }
-        CellRecord {
-            fingerprint: fp,
+        let (outcome, sim_stats) = match run {
+            Ok(Ok((m, s))) => (CellOutcome::Ok(m), s),
+            Ok(Err(detail)) => (CellOutcome::WrongAnswer { detail }, None),
+            Err(payload) => (failure_outcome(payload.as_ref(), wall_budget), None),
+        };
+        let dur_us = cell_clock().saturating_sub(started_us);
+        finish_record(
+            fp,
             variant,
-            graph: graph_label,
-            target: target_label,
+            graph_label,
+            target_label,
             outcome,
-            resumed: false,
-        }
+            sim_stats,
+            (started_us, dur_us),
+        )
+    }
+
+    /// Runs a device pair formed by [`RunPlan::gpu_jobs`]: one simulation
+    /// of the variant priced for both devices, verified once, and two
+    /// records — each bit-identical to what its cell gets run alone. Same
+    /// isolation boundary as [`RunPlan::execute_cell`].
+    fn execute_pair(
+        &self,
+        cells: [&Cell; 2],
+        prepared: &(GraphInput, DeviceGraph),
+        options: &RunOptions,
+    ) -> [CellRecord; 2] {
+        let cfg = &self.variants[cells[0].variant];
+        let which = self.graphs[cells[0].graph];
+        let devices = cells.map(|c| match c.target {
+            TargetSpec::Gpu(d) => d,
+            TargetSpec::Cpu(..) => unreachable!("pairs are GPU cells"),
+        });
+        let (input, dg) = prepared;
+        let started_us = cell_clock();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let run =
+                run_gpu_supervised(cfg, dg, &devices, options.sim_workers, &Supervision::none());
+            if self.verify {
+                verify::check(cfg, input, &run.output)?;
+            }
+            Ok::<_, String>(run)
+        }));
+        // the pair's wall time is split evenly between its two cell spans
+        let half_us = cell_clock().saturating_sub(started_us) / 2;
+        std::array::from_fn(|k| {
+            let cell = cells[k];
+            let (fp, variant, graph_label, target_label) = self.identity(cell);
+            let (outcome, sim_stats) = match &run {
+                Ok(Ok(run)) => (
+                    CellOutcome::Ok(measurement(
+                        cfg,
+                        which,
+                        input,
+                        &cell.target,
+                        run.secs[k],
+                        run.iterations,
+                    )),
+                    Some(run.sim[k]),
+                ),
+                Ok(Err(detail)) => (
+                    CellOutcome::WrongAnswer {
+                        detail: detail.clone(),
+                    },
+                    None,
+                ),
+                Err(payload) => (failure_outcome(payload.as_ref(), None), None),
+            };
+            finish_record(
+                fp,
+                variant,
+                graph_label,
+                target_label,
+                outcome,
+                sim_stats,
+                (started_us + k as u64 * half_us, half_us),
+            )
+        })
     }
 
     /// Measures one cell. `Err` means the output diverged from the serial
@@ -607,52 +688,127 @@ impl RunPlan {
         sup: &Supervision,
         corrupt: bool,
     ) -> Result<(Measurement, Option<SimStats>), String> {
-        let (mut result, reps) = match target {
+        let (mut output, iterations, secs, sim_stats) = match target {
             TargetSpec::Gpu(device) => {
                 // the simulator is deterministic: one run is exact
-                (run_gpu_supervised(cfg, dg, *device, sim_workers, sup), 1)
+                let run = run_gpu_supervised(cfg, dg, &[*device], sim_workers, sup);
+                (run.output, run.iterations, run.secs[0], Some(run.sim[0]))
             }
-            TargetSpec::Cpu(_, threads) => (
-                run_variant_supervised(cfg, input, &Target::cpu(*threads), sup),
-                self.reps.max(1),
-            ),
-        };
-        let mut secs = vec![result.secs];
-        if reps > 1 {
-            if let TargetSpec::Cpu(_, threads) = target {
-                for _ in 1..reps {
+            TargetSpec::Cpu(_, threads) => {
+                let cpu = Target::cpu(*threads);
+                let first = run_variant_supervised(cfg, input, &cpu, sup);
+                let mut secs = vec![first.secs];
+                for _ in 1..self.reps.max(1) {
                     // repetition boundaries are cancellation points
                     if let Some(token) = &sup.cancel {
                         token.checkpoint();
                     }
-                    secs.push(run_variant_supervised(cfg, input, &Target::cpu(*threads), sup).secs);
+                    secs.push(run_variant_supervised(cfg, input, &cpu, sup).secs);
                 }
+                secs.sort_by(f64::total_cmp);
+                (first.output, first.iterations, interp_median(&secs), None)
             }
-        }
-        secs.sort_by(f64::total_cmp);
-        let median = interp_median(&secs);
-        let sim_stats = result.sim;
+        };
         if corrupt {
-            corrupt_output(&mut result.output);
+            corrupt_output(&mut output);
         }
         if self.verify {
-            verify::check(cfg, input, &result.output)?;
+            verify::check(cfg, input, &output)?;
         }
-        let geps = if median > 0.0 {
-            input.num_edges() as f64 / median / 1e9
-        } else {
-            f64::INFINITY
-        };
         Ok((
-            Measurement {
-                cfg: *cfg,
-                graph: which.label(),
-                target: target.label(),
-                geps,
-                iterations: result.iterations,
-            },
+            measurement(cfg, which, input, target, secs, iterations),
             sim_stats,
         ))
+    }
+}
+
+/// A cell's measurement from its (median) run time.
+fn measurement(
+    cfg: &StyleConfig,
+    which: SuiteGraph,
+    input: &GraphInput,
+    target: &TargetSpec,
+    secs: f64,
+    iterations: usize,
+) -> Measurement {
+    let geps = if secs > 0.0 {
+        input.num_edges() as f64 / secs / 1e9
+    } else {
+        f64::INFINITY
+    };
+    Measurement {
+        cfg: *cfg,
+        graph: which.label(),
+        target: target.label(),
+        geps,
+        iterations,
+    }
+}
+
+/// The outcome of a cell whose run unwound: a cancellation is a timeout
+/// (`wall_budget` is the watchdog's budget when it was the one that
+/// fired), anything else a crash.
+fn failure_outcome(payload: &(dyn std::any::Any + Send), wall_budget: Option<f64>) -> CellOutcome {
+    match indigo_cancel::as_cancelled(payload) {
+        Some(c) => CellOutcome::TimedOut {
+            budget_secs: wall_budget,
+            reason: c.reason.clone(),
+        },
+        None => CellOutcome::Crashed {
+            payload: indigo_cancel::payload_text(payload),
+        },
+    }
+}
+
+/// Cell-span clock: microseconds in telemetry builds, 0 otherwise.
+fn cell_clock() -> u64 {
+    if indigo_obs::enabled() {
+        indigo_obs::now_micros()
+    } else {
+        0
+    }
+}
+
+/// Builds an executed cell's record, emitting its telemetry span
+/// (`span` = start and duration in microseconds) first.
+fn finish_record(
+    fingerprint: u64,
+    variant: String,
+    graph: &'static str,
+    target: String,
+    outcome: CellOutcome,
+    sim_stats: Option<SimStats>,
+    (started_us, dur_us): (u64, u64),
+) -> CellRecord {
+    if indigo_obs::enabled() {
+        indigo_obs::Hist::CellMicros.record(dur_us);
+        let mut ev = indigo_obs::TraceEvent::span(
+            "cell",
+            format!("{variant}|{graph}|{target}"),
+            started_us,
+            dur_us.max(1),
+        )
+        .with_arg("outcome", outcome.label());
+        if let CellOutcome::Ok(m) = &outcome {
+            ev = ev
+                .with_arg("geps", format!("{:.6}", m.geps))
+                .with_arg("iterations", m.iterations.to_string());
+        }
+        if let Some(s) = sim_stats {
+            ev = ev
+                .with_arg("sim_cycles", format!("{:.0}", s.cycles))
+                .with_arg("sim_launches", s.launches.to_string())
+                .with_arg("sim_accesses", s.accesses.to_string());
+        }
+        indigo_obs::emit(&ev);
+    }
+    CellRecord {
+        fingerprint,
+        variant,
+        graph,
+        target,
+        outcome,
+        resumed: false,
     }
 }
 
@@ -924,8 +1080,10 @@ impl Drop for WatchGuard {
 
 /// Runs `work(i)` for every `i in 0..n` on up to `jobs` threads (dynamic
 /// work-stealing from a shared cursor) while the calling thread reports
-/// completion counts through `tick`. With `jobs == 1` everything runs
-/// inline on the caller — no threads, `tick` after every item.
+/// completion counts through `tick`: the summed `weight(i)` of the items
+/// done so far (an item may stand for several units, as a paired GPU job
+/// stands for two cells). With `jobs == 1` everything runs inline on the
+/// caller — no threads, `tick` after every item.
 ///
 /// A panic inside `work` does **not** poison the queue: the worker records
 /// the payload against its index and keeps draining, so every other index
@@ -936,7 +1094,13 @@ impl Drop for WatchGuard {
 ///
 /// Returns collected results ordered by index when `work` returns a value;
 /// pass a `()`-returning closure for side-effect-only stages.
-fn run_indexed_parallel<T, W>(n: usize, jobs: usize, work: W, mut tick: impl FnMut(usize)) -> Vec<T>
+fn run_indexed_parallel<T, W>(
+    n: usize,
+    jobs: usize,
+    work: W,
+    weight: impl Fn(usize) -> usize + Sync,
+    mut tick: impl FnMut(usize),
+) -> Vec<T>
 where
     T: Send + Sync,
     W: Fn(usize) -> T + Sync,
@@ -945,10 +1109,12 @@ where
         return Vec::new();
     }
     if jobs <= 1 || n == 1 {
+        let mut done = 0;
         return (0..n)
             .map(|i| {
                 let r = work(i);
-                tick(i + 1);
+                done += weight(i);
+                tick(done);
                 r
             })
             .collect();
@@ -956,9 +1122,9 @@ where
     let out: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     let panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
     let cursor = AtomicUsize::new(0);
-    // completion count + its wake-up: the caller ticks as soon as an item
-    // lands, with no polling delay after the last one
-    let finished = (Mutex::new(0usize), Condvar::new());
+    // completed items and their summed weight + the wake-up: the caller
+    // ticks as soon as an item lands, with no polling delay after the last
+    let finished = (Mutex::new((0usize, 0usize)), Condvar::new());
     std::thread::scope(|s| {
         for _ in 0..jobs.min(n) {
             s.spawn(|| loop {
@@ -976,7 +1142,11 @@ where
                         .unwrap_or_else(|e| e.into_inner())
                         .push((i, payload)),
                 }
-                *finished.0.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+                let w = weight(i);
+                let mut done = finished.0.lock().unwrap_or_else(|e| e.into_inner());
+                done.0 += 1;
+                done.1 += w;
+                drop(done);
                 finished.1.notify_one();
             });
         }
@@ -986,12 +1156,13 @@ where
         let mut last = 0usize;
         while last < n {
             let mut done = finished.0.lock().unwrap_or_else(|e| e.into_inner());
-            while *done == last {
+            while done.0 == last {
                 done = finished.1.wait(done).unwrap_or_else(|e| e.into_inner());
             }
-            last = *done;
+            let (items, units) = *done;
             drop(done);
-            tick(last);
+            last = items;
+            tick(units);
         }
     });
     let mut panics = panics.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -1129,10 +1300,17 @@ mod tests {
     #[test]
     fn run_indexed_parallel_ticks_every_completion_up_to_n() {
         let mut ticks = Vec::new();
-        let out = run_indexed_parallel(32, 4, |i| i * 2, |done| ticks.push(done));
+        let out = run_indexed_parallel(32, 4, |i| i * 2, |_| 1, |done| ticks.push(done));
         assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
         assert_eq!(ticks.last(), Some(&32));
         assert!(ticks.windows(2).all(|w| w[0] < w[1]), "{ticks:?}");
+        // weighted items tick their summed weight, serially and in parallel
+        for jobs in [1, 4] {
+            let mut ticks = Vec::new();
+            run_indexed_parallel(10, jobs, |_| (), |i| 1 + i % 2, |done| ticks.push(done));
+            assert_eq!(ticks.last(), Some(&15), "jobs={jobs}");
+            assert!(ticks.windows(2).all(|w| w[0] < w[1]), "{ticks:?}");
+        }
     }
 
     #[test]
@@ -1151,6 +1329,7 @@ mod tests {
                     }
                     done.fetch_add(1, Ordering::Relaxed);
                 },
+                |_| 1,
                 |_| {},
             )
         }))
@@ -1199,6 +1378,99 @@ mod tests {
         assert_eq!(summary.crashed, 1);
         assert_eq!(summary.exit_code(), 2);
         assert_eq!(clean.summary().exit_code(), 0);
+    }
+
+    /// Thread-granularity TC without the persistent variants: every
+    /// variant's two GPU cells share one simulation.
+    fn paired_plan() -> RunPlan {
+        tc_plan().filter(|c| !persistent_of(c))
+    }
+
+    #[test]
+    fn gpu_progress_counts_cells_and_ends_at_total() {
+        // tc_plan mixes paired (non-persistent) and single (persistent) jobs
+        let plan = tc_plan();
+        assert!(plan.variants.iter().any(persistent_of));
+        for jobs in [1, 2] {
+            let mut dones = Vec::new();
+            let mut total = 0;
+            plan.run_with(&RunOptions::default().with_jobs(jobs), |ev| {
+                if let ProgressEvent::Cell {
+                    phase: RunPhase::GpuSim,
+                    done,
+                    total: t,
+                } = ev
+                {
+                    dones.push(done);
+                    total = t;
+                }
+            });
+            assert_eq!(total, plan.variants.len() * 2, "jobs={jobs}");
+            assert_eq!(dones.last(), Some(&total), "jobs={jobs}: {dones:?}");
+            assert!(dones.windows(2).all(|w| w[0] < w[1]), "{dones:?}");
+            if jobs == 1 {
+                // a pair lands both of its cells at once
+                assert!(dones.windows(2).any(|w| w[1] - w[0] == 2), "{dones:?}");
+                assert!(dones.len() < total, "{dones:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn paired_cells_record_the_bits_of_unpaired_ones() {
+        // a wall-clock timeout arms every cell, which keeps them unpaired
+        let plan = tc_plan();
+        let opts = RunOptions::default().with_jobs(2);
+        let paired = plan.run_cells(&opts, &Resilience::none(), |_| {}).unwrap();
+        let single = plan
+            .run_cells(
+                &opts,
+                &Resilience::none().with_cell_timeout(Duration::from_secs(3600)),
+                |_| {},
+            )
+            .unwrap();
+        assert_eq!(paired.records.len(), single.records.len());
+        for (a, b) in paired.records.iter().zip(&single.records) {
+            assert_eq!(a.fingerprint, b.fingerprint);
+            let (ma, mb) = (
+                a.outcome.measurement().unwrap(),
+                b.outcome.measurement().unwrap(),
+            );
+            assert_eq!(ma.geps.to_bits(), mb.geps.to_bits(), "{}", a.variant);
+            assert_eq!(ma.iterations, mb.iterations);
+            assert_eq!(ma.target, mb.target);
+        }
+    }
+
+    #[test]
+    fn fault_on_one_cell_of_a_pair_leaves_its_partner_bit_identical() {
+        let plan = paired_plan();
+        let opts = RunOptions::default().with_jobs(2);
+        let clean = plan.run_cells(&opts, &Resilience::none(), |_| {}).unwrap();
+        // slots 2 and 3 are the second variant's TitanV and RTX cells
+        for k in [2usize, 3] {
+            let fault = FaultSpec::parse(&format!("panic@{k}")).unwrap();
+            let faulty = plan
+                .run_cells(&opts, &Resilience::none().with_fault(fault), |_| {})
+                .unwrap();
+            for (i, (c, f)) in clean.records.iter().zip(&faulty.records).enumerate() {
+                if i == k {
+                    assert!(
+                        matches!(&f.outcome, CellOutcome::Crashed { payload }
+                            if payload.contains("injected fault")),
+                        "slot {k}: {:?}",
+                        f.outcome
+                    );
+                    continue;
+                }
+                let (a, b) = (
+                    c.outcome.measurement().unwrap(),
+                    f.outcome.measurement().unwrap(),
+                );
+                assert_eq!(a.geps.to_bits(), b.geps.to_bits(), "fault@{k}, cell {i}");
+            }
+            assert_eq!(faulty.summary().crashed, 1);
+        }
     }
 
     #[test]

@@ -248,7 +248,7 @@ fn sanitize_cell(
             let dg = dg.expect("GPU cells have an uploaded graph");
             // one sim worker: the collector is shared state and the access
             // interleaving is irrelevant to region-scoped conflicts anyway
-            run_gpu_supervised(cfg, dg, *device, 1, &sup);
+            run_gpu_supervised(cfg, dg, &[*device], 1, &sup);
         }
         TargetSpec::Cpu(_, threads) => {
             run_variant_supervised(cfg, input, &Target::cpu(*threads), &sup);

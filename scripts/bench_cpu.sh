@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates results/BENCH_cpu_baseline.json: the CPU-baseline kernel
+# Regenerates bench/baselines/BENCH_cpu_baseline.json: the CPU-baseline kernel
 # record the cpu_perf CI gate compares against (DESIGN.md §7.7).
 #
 # The probe runs the six tuned CPU baselines (bfs, sssp, cc, mis, pr, tc)
@@ -17,6 +17,6 @@ cd "$(dirname "$0")/.."
 # the probe reads telemetry counter deltas, so it needs the feature on
 cargo build -q --release -p indigo-bench --bin cpu_perf --features telemetry
 
-target/release/cpu_perf > results/BENCH_cpu_baseline.json
-echo "wrote results/BENCH_cpu_baseline.json:"
-grep '"name"' results/BENCH_cpu_baseline.json
+target/release/cpu_perf > bench/baselines/BENCH_cpu_baseline.json
+echo "wrote bench/baselines/BENCH_cpu_baseline.json:"
+grep '"name"' bench/baselines/BENCH_cpu_baseline.json

@@ -8,6 +8,11 @@
 #   * one harness smoke run's gpu-sim phase (end-to-end cells/sec),
 # next to the committed PR 2 baseline so the speedup trajectory stays
 # visible in-tree.
+#
+# The CI gate's baseline is the probe alone, tracked in
+# bench/baselines/BENCH_gpusim_baseline.json; refresh it only after a
+# deliberate cost-model change (review the diff — it IS the perf contract):
+#   target/release/gpusim_perf > bench/baselines/BENCH_gpusim_baseline.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

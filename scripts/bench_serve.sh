@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates results/BENCH_serve_baseline.json: the serving-path record
+# Regenerates bench/baselines/BENCH_serve_baseline.json: the serving-path record
 # the serve_perf CI gate compares against (DESIGN.md §7.9).
 #
 # The probe drives the open-loop load generator against two in-process
@@ -15,6 +15,6 @@ cd "$(dirname "$0")/.."
 
 cargo build -q --release -p indigo-bench --bin serve_perf
 
-target/release/serve_perf > results/BENCH_serve_baseline.json
-echo "wrote results/BENCH_serve_baseline.json:"
-cat results/BENCH_serve_baseline.json
+target/release/serve_perf > bench/baselines/BENCH_serve_baseline.json
+echo "wrote bench/baselines/BENCH_serve_baseline.json:"
+cat bench/baselines/BENCH_serve_baseline.json

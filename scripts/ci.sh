@@ -155,14 +155,14 @@ stage "simulator perf smoke (deterministic: cycles + allocation counts)"
 # counts against the committed baseline — warn at 10%, fail at 30%.
 # The probe reads telemetry counter deltas, so it needs the feature on.
 cargo build -q --release -p indigo-bench --bin gpusim_perf --features telemetry
-target/release/gpusim_perf --check results/BENCH_gpusim_baseline.json
+target/release/gpusim_perf --check bench/baselines/BENCH_gpusim_baseline.json
 
 stage "CPU baseline perf smoke (deterministic: frontier counters + allocs)"
 # Same contract for the tuned CPU kernels (DESIGN.md §7.7): frontier and
 # bucket counters are compared single-threaded (deterministic), and the
 # steady-state allocation count is pinned at the committed baseline's 0.
 cargo build -q --release -p indigo-bench --bin cpu_perf --features telemetry
-target/release/cpu_perf --check results/BENCH_cpu_baseline.json
+target/release/cpu_perf --check bench/baselines/BENCH_cpu_baseline.json
 
 stage "serving-path perf smoke (loadgen: keep-alive + batching speedup)"
 # The batched keep-alive reactor path must beat the connection-per-request
@@ -170,7 +170,7 @@ stage "serving-path perf smoke (loadgen: keep-alive + batching speedup)"
 # against the committed baseline (drop > 30% fails, > 10% warns; the p99
 # gate carries a 1 ms absolute grace so millisecond tails don't flake).
 cargo build -q --release -p indigo-bench --bin serve_perf
-target/release/serve_perf --check results/BENCH_serve_baseline.json
+target/release/serve_perf --check bench/baselines/BENCH_serve_baseline.json
 
 stage "telemetry (feature-on tests, trace validation, zero-cost guard)"
 # the full suite again with recording compiled in: obs live tests, the

@@ -69,6 +69,9 @@ struct Cli {
     scale_set: bool,
     reps: usize,
     out_dir: String,
+    /// Whether `--out` was given explicitly (`profile` otherwise writes
+    /// beside its input trace).
+    out_set: bool,
     options: RunOptions,
     res: Resilience,
     smoke: bool,
@@ -117,6 +120,7 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         scale_set: false,
         reps: 3,
         out_dir: "results".to_string(),
+        out_set: false,
         options: RunOptions::auto(),
         res: Resilience::none(),
         smoke: false,
@@ -163,6 +167,7 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
             }
             "--out" => {
                 cli.out_dir = it.next().ok_or("--out needs a directory")?;
+                cli.out_set = true;
             }
             "--cell-timeout" => {
                 let secs: f64 = parse_num(it.next(), "--cell-timeout")?;
@@ -1120,8 +1125,9 @@ fn cmd_sanitize(cli: &Cli) -> Result<i32, String> {
     Ok(run.exit_code())
 }
 
-/// `indigo-exp profile [--in PATH] [--top N]` — renders a plain-text
-/// profile report from a recorded trace and writes it to `profile.txt`.
+/// `indigo-exp profile [--in PATH] [--top N] [--out DIR]` — renders a
+/// plain-text profile report from a recorded trace and writes it to
+/// `profile.txt` (see [`profile_path`]).
 fn cmd_profile(cli: &Cli) -> Result<i32, String> {
     let input = resolve_trace_input(cli)?;
     let (events, skipped) = load_run(&input)?;
@@ -1130,16 +1136,24 @@ fn cmd_profile(cli: &Cli) -> Result<i32, String> {
     }
     let text = profile_text(&events, skipped, cli.top, &input);
     println!("{text}");
-    let out_dir = if cli.out_dir.ends_with(".json") {
-        "results".to_string()
-    } else {
-        cli.out_dir.clone()
-    };
-    std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-    let out = Path::new(&out_dir).join("profile.txt");
+    let out = profile_path(cli.out_set.then_some(cli.out_dir.as_str()), &input);
+    if let Some(dir) = out.parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
     std::fs::write(&out, &text).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     console_line(&format!("wrote {}", out.display()));
     Ok(0)
+}
+
+/// Where `profile` writes its report: `profile.txt` in `--out DIR` when
+/// given, else beside the input trace.
+fn profile_path(out_dir: Option<&str>, input: &Path) -> PathBuf {
+    let dir = match out_dir {
+        Some(dir) => Path::new(dir),
+        None => input.parent().unwrap_or(Path::new("")),
+    };
+    dir.join("profile.txt")
 }
 
 /// One aggregated row of the per-target table.
@@ -1277,10 +1291,14 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// `73s` / `4m05s` / `2h07m` style durations.
+/// `412ms` / `73s` / `4m05s` / `2h07m` style durations.
 fn fmt_secs(secs: f64) -> String {
     if !secs.is_finite() {
         return "--".to_string();
+    }
+    let ms = (secs * 1e3).round() as u64;
+    if ms < 1000 {
+        return format!("{ms}ms");
     }
     let s = secs.round() as u64;
     if s < 100 {
@@ -1301,6 +1319,7 @@ usage: indigo-exp <ids...> [--scale tiny|small|default|large] [--reps N]
                   [--inject-fault panic|stall|corrupt@CELL] [--smoke]
        indigo-exp trace   [--in TRACE.jsonl] [--out FILE.json|DIR] [--check]
        indigo-exp profile [--in TRACE.jsonl] [--top N] [--out DIR]
+                  (writes profile.txt to --out, else beside the trace)
        indigo-exp sanitize [--smoke] [--scale S] [--out DIR]
                   [--mutate-drop-atomics]
        indigo-exp serve   [--port P] [--serve-workers N] [--queue N]
@@ -1355,7 +1374,7 @@ through an epoll readiness reactor. `loadgen` measures that path: an
 open-loop generator (latency from intended start times, so coordinated
 omission cannot hide server stalls) drives an unbatched and a batched
 in-process server and writes BENCH_loadgen.json with the saturation
-speedup; scripts/ci.sh gates it against results/BENCH_serve_baseline.json.
+speedup; scripts/ci.sh gates it against bench/baselines/BENCH_serve_baseline.json.
 
 advising: `advise` productizes the paper's 5.13/5.16 payoff (DESIGN.md
 7.11): it fits an interpretable predictor (nearest-neighbor over the
@@ -1369,3 +1388,43 @@ predicted-best variant (bit-identical to requesting it explicitly) and
 
 exit codes: 0 all cells clean; 2 run completed with failed cells;
 1 harness error.";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sub_second_durations_print_milliseconds() {
+        assert_eq!(fmt_secs(0.412), "412ms");
+        assert_eq!(fmt_secs(0.0), "0ms");
+        assert_eq!(fmt_secs(0.0004), "0ms");
+        assert_eq!(fmt_secs(0.9994), "999ms");
+        // rounding up to a whole second switches to the seconds format
+        assert_eq!(fmt_secs(0.9996), "1s");
+        assert_eq!(fmt_secs(f64::NAN), "--");
+    }
+
+    #[test]
+    fn longer_durations_keep_their_formats() {
+        assert_eq!(fmt_secs(1.0), "1s");
+        assert_eq!(fmt_secs(73.2), "73s");
+        assert_eq!(fmt_secs(99.4), "99s");
+        assert_eq!(fmt_secs(245.0), "4m05s");
+        assert_eq!(fmt_secs(7620.0), "2h07m");
+    }
+
+    #[test]
+    fn profile_writes_beside_the_trace_unless_out_is_given() {
+        let trace = Path::new("runs/a/TRACE_smoke.jsonl");
+        assert_eq!(profile_path(None, trace), Path::new("runs/a/profile.txt"));
+        assert_eq!(
+            profile_path(Some("reports"), trace),
+            Path::new("reports/profile.txt")
+        );
+        // a bare file name lives in the working directory
+        assert_eq!(
+            profile_path(None, Path::new("TRACE_x.jsonl")),
+            Path::new("profile.txt")
+        );
+    }
+}

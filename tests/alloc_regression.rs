@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use indigo_core::GraphInput;
-use indigo_gpusim::{rtx3090, Assign, BufKind, GpuBuf, ReduceStyle, Sim, WARP_SIZE};
+use indigo_gpusim::{rtx3090, titan_v, Assign, BufKind, GpuBuf, ReduceStyle, Sim, WARP_SIZE};
 use indigo_graph::gen;
 
 struct Counting;
@@ -126,6 +126,35 @@ fn steady_state_launches_do_not_allocate() {
         }
     });
     assert_eq!(delta, 0, "WarpPerItem reduce steady state allocated");
+
+    // --- one launch priced for two devices (one SM heap each) ---
+    let mut pair = Sim::for_devices(&[titan_v(), device]);
+    let pair_launches = |sim: &mut Sim| {
+        sim.launch(N, Assign::ThreadPerItem, false, |ctx, i| {
+            let v = ctx.ld(&src, i);
+            ctx.st(&dst, i, v + 1);
+        });
+        sim.launch_reduce_u64(
+            items,
+            Assign::WarpPerItem,
+            false,
+            ReduceStyle::ReductionAdd,
+            BufKind::Atomic,
+            |ctx, item| {
+                let v = ctx.ld(&src, item * WARP_SIZE + ctx.lane());
+                ctx.reduce_add_u64(u64::from(v));
+            },
+        );
+    };
+    for _ in 0..2 {
+        pair_launches(&mut pair);
+    }
+    let delta = min_delta(5, 0, || {
+        for _ in 0..8 {
+            pair_launches(&mut pair);
+        }
+    });
+    assert_eq!(delta, 0, "two-device steady state allocated");
 
     // --- pooled deterministic path (parked workers + slot arena) ---
     // A worker's private StepTable grows the first time that worker
