@@ -25,7 +25,7 @@ fn steptable_coalesced(c: &mut Criterion) {
                     table.record(step as usize, AccessClass::Mem, step * 4096 + lane * 4);
                 }
             }
-            black_box(table.finalize(&costs))
+            black_box(table.finalize(std::slice::from_ref(&costs)))
         })
     });
     g.finish();
@@ -46,7 +46,7 @@ fn steptable_scattered(c: &mut Criterion) {
                     table.record(step as usize, AccessClass::AtomicRmw, addr);
                 }
             }
-            black_box(table.finalize(&costs))
+            black_box(table.finalize(std::slice::from_ref(&costs)))
         })
     });
     g.finish();

@@ -25,35 +25,10 @@
 //! nonzero, and any steady-state allocation where the baseline had none
 //! fails — a flake-free CI perf gate (wall-clock deliberately excluded).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use indigo_bench::probe::{self, allocations, field, name_of, Counting};
 use indigo_core::{GraphInput, SOURCE};
 use indigo_graph::gen::{suite_graph, Scale, SuiteGraph};
 use indigo_obs::{counters_snapshot, Counter};
-
-/// Counting allocator: every allocation path bumps one relaxed counter.
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(l)
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        System.dealloc(p, l)
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(p, l, n)
-    }
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(l)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -92,9 +67,9 @@ fn probe(name: String, mut run: impl FnMut(usize) -> f64) -> Record {
     run(STEADY_THREADS);
     let mut steady_allocs = u64::MAX;
     for _ in 0..ALLOC_ATTEMPTS {
-        let a0 = ALLOCS.load(Ordering::Relaxed);
+        let a0 = allocations();
         run(STEADY_THREADS);
-        steady_allocs = steady_allocs.min(ALLOCS.load(Ordering::Relaxed) - a0);
+        steady_allocs = steady_allocs.min(allocations() - a0);
     }
     let mut host_ms = f64::INFINITY;
     for _ in 0..TIME_REPS {
@@ -170,24 +145,6 @@ fn emit(records: &[Record]) -> String {
     s
 }
 
-/// Pulls `"field": <number>` off a JSON line (the workspace is
-/// dependency-free, so no serde).
-fn field(line: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"{name}\": ");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|ch: char| !(ch.is_ascii_digit() || ch == '.' || ch == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn name_of(line: &str) -> Option<&str> {
-    let at = line.find("\"name\": \"")? + 9;
-    let rest = &line[at..];
-    Some(&rest[..rest.find('"')?])
-}
-
 /// Compares deterministic fields against the baseline file. Returns the
 /// number of hard failures (relative deviation > 30%, or any steady-state
 /// allocation where the baseline had none).
@@ -209,28 +166,7 @@ fn check(records: &[Record], baseline_path: &str) -> usize {
             continue;
         };
         let mut compare = |what: &str, old: f64, new: f64| {
-            if old == 0.0 {
-                if new != 0.0 {
-                    eprintln!("FAIL  {}: {what} was 0, now {new}", r.name);
-                    failures += 1;
-                }
-                return;
-            }
-            let dev = (new - old).abs() / old;
-            if dev > 0.30 {
-                eprintln!(
-                    "FAIL  {}: {what} deviates {:.1}% (baseline {old}, now {new})",
-                    r.name,
-                    dev * 100.0
-                );
-                failures += 1;
-            } else if dev > 0.10 {
-                eprintln!(
-                    "WARN  {}: {what} deviates {:.1}% (baseline {old}, now {new})",
-                    r.name,
-                    dev * 100.0
-                );
-            }
+            failures += usize::from(probe::compare(&r.name, what, old, new));
         };
         if let Some(old) = field(line, "pushes") {
             compare("pushes", old, r.pushes as f64);

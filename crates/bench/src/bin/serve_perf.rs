@@ -1,26 +1,19 @@
 //! Serving-path perf probe (DESIGN.md §7.9).
 //!
-//! Runs a short open-loop load-generator comparison — the pre-PR-8
-//! connection-per-request path vs the batched keep-alive reactor path —
-//! against two in-process servers, and reports the headline numbers:
-//! saturation throughput per mode, the batched/unbatched speedup, and the
-//! coordinated-omission-safe p99.
+//! Runs a short open-loop load-generator pass against one in-process
+//! server on the serving path (keep-alive connections on the epoll reactor,
+//! single-flight batching) and reports the headline numbers: saturation
+//! throughput and the coordinated-omission-safe p99.
 //!
 //! `serve_perf` prints the JSON record to stdout. With `--check
-//! <baseline.json>` it compares against the committed baseline: throughput
-//! (and the speedup ratio) regressing more than 30% fails, more than 10%
-//! warns; p99 inflating past the same gates likewise. The speedup must
-//! also clear the 1.5× floor the batched path promises — on an absolute
-//! basis, not relative to the baseline. Unlike `cpu_perf`, every field
-//! here *is* wall-clock; the gate survives runner noise because the
-//! measured margins are an order of magnitude wider than the thresholds.
+//! <baseline.json>` it compares against the committed baseline:
+//! throughput regressing more than 30% fails, more than 10% warns; p99
+//! inflating past 130% + 1 ms fails, past 110% + 0.25 ms warns. Unlike
+//! `cpu_perf`, every field here *is* wall-clock.
 
+use indigo_bench::probe::field;
 use indigo_serve::loadgen::{run_loadgen, LoadMix, LoadgenOptions, LoadgenReport};
 use std::time::Duration;
-
-/// The batched path must beat the unbatched path by at least this factor
-/// in saturation throughput, on any machine.
-const SPEEDUP_FLOOR: f64 = 1.5;
 
 fn measure() -> LoadgenReport {
     let opts = LoadgenOptions {
@@ -43,33 +36,14 @@ fn measure() -> LoadgenReport {
 
 fn emit(r: &LoadgenReport) -> String {
     format!(
-        "{{\n  \"version\": 1,\n  \"speedup\": {:.3},\n  \
-         \"unbatched_saturation_rps\": {:.1},\n  \
-         \"batched_saturation_rps\": {:.1},\n  \
-         \"unbatched_p99_ms\": {:.3},\n  \"batched_p99_ms\": {:.3}\n}}\n",
-        r.speedup,
-        r.unbatched.saturation_rps,
-        r.batched.saturation_rps,
-        r.unbatched.p99_ms,
-        r.batched.p99_ms,
+        "{{\n  \"version\": 2,\n  \"batched_saturation_rps\": {:.1},\n  \
+         \"batched_p99_ms\": {:.3}\n}}\n",
+        r.saturation_rps, r.p99_ms,
     )
 }
 
-/// Pulls `"field": <number>` off the baseline text (the workspace is
-/// dependency-free, so no serde).
-fn field(text: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"{name}\": ");
-    let at = text.find(&tag)? + tag.len();
-    let rest = &text[at..];
-    let end = rest
-        .find(|ch: char| !(ch.is_ascii_digit() || ch == '.' || ch == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Compares against the committed baseline. Returns the hard-failure
-/// count: a throughput (or speedup) drop > 30%, a p99 inflation > 30%, or
-/// a speedup below the absolute floor.
+/// count: a throughput drop > 30% or a p99 inflation past 130% + 1 ms.
 fn check(r: &LoadgenReport, baseline_path: &str) -> usize {
     let baseline = match std::fs::read_to_string(baseline_path) {
         Ok(s) => s,
@@ -79,44 +53,32 @@ fn check(r: &LoadgenReport, baseline_path: &str) -> usize {
         }
     };
     let mut failures = 0;
-    if r.speedup < SPEEDUP_FLOOR {
-        eprintln!(
-            "FAIL  speedup {:.2}x is below the {SPEEDUP_FLOOR}x floor",
-            r.speedup
-        );
-        failures += 1;
-    }
-    // lower-is-worse fields: throughput and the speedup ratio
-    let mut gate_drop = |what: &str, old: f64, new: f64| {
-        if old <= 0.0 {
-            return;
-        }
-        let drop = (old - new) / old;
-        if drop > 0.30 {
-            eprintln!(
-                "FAIL  {what} dropped {:.1}% (baseline {old:.1}, now {new:.1})",
-                drop * 100.0
-            );
-            failures += 1;
-        } else if drop > 0.10 {
-            eprintln!(
-                "WARN  {what} dropped {:.1}% (baseline {old:.1}, now {new:.1})",
-                drop * 100.0
-            );
-        }
-    };
-    if let Some(old) = field(&baseline, "speedup") {
-        gate_drop("speedup", old, r.speedup);
-    }
+    // lower-is-worse field: saturation throughput. The field names keep
+    // the `batched_` prefix the committed baseline was written with
     if let Some(old) = field(&baseline, "batched_saturation_rps") {
-        gate_drop("batched_saturation_rps", old, r.batched.saturation_rps);
+        if old > 0.0 {
+            let new = r.saturation_rps;
+            let drop = (old - new) / old;
+            if drop > 0.30 {
+                eprintln!(
+                    "FAIL  batched_saturation_rps dropped {:.1}% (baseline {old:.1}, now {new:.1})",
+                    drop * 100.0
+                );
+                failures += 1;
+            } else if drop > 0.10 {
+                eprintln!(
+                    "WARN  batched_saturation_rps dropped {:.1}% (baseline {old:.1}, now {new:.1})",
+                    drop * 100.0
+                );
+            }
+        }
     }
-    // higher-is-worse field: the batched tail. The gates carry a small
+    // higher-is-worse field: the tail. The gates carry a small
     // absolute grace on top of the relative one — a millisecond-scale p99
     // moves by scheduler quanta, and a 30%-of-1ms gate would flake
     if let Some(old) = field(&baseline, "batched_p99_ms") {
         if old > 0.0 {
-            let new = r.batched.p99_ms;
+            let new = r.p99_ms;
             if new > old * 1.30 + 1.0 {
                 eprintln!(
                     "FAIL  batched_p99_ms rose past 130% + 1 ms (baseline {old:.3}, now {new:.3})"
@@ -146,9 +108,8 @@ fn main() {
                 std::process::exit(2);
             }
             eprintln!(
-                "serve_perf: serving perf within gates ({:.1}x speedup, \
-                 batched {:.0} rps, p99 {:.2} ms)",
-                report.speedup, report.batched.saturation_rps, report.batched.p99_ms
+                "serve_perf: serving perf within gates ({:.0} rps, p99 {:.2} ms)",
+                report.saturation_rps, report.p99_ms
             );
         }
         Some(other) => {

@@ -12,6 +12,8 @@
 //! Benchmarks run at `Scale::Tiny` by default so `cargo bench` terminates
 //! quickly; set `INDIGO_BENCH_SCALE=small|default` for larger instances.
 
+pub mod probe;
+
 use criterion::Criterion;
 use indigo_core::{run_gpu, run_variant, GraphInput, Target};
 use indigo_gpusim::Device;

@@ -29,6 +29,7 @@ use indigo_gpusim::titan_v;
 use indigo_graph::gen::{self, suite_graph, Scale, SUITE_GRAPHS};
 use indigo_graph::stats::{GraphStats, StatsScratch};
 use indigo_graph::Csr;
+use indigo_obs::event::json_str;
 use indigo_styles::{enumerate, Algorithm, Model, StyleConfig};
 
 /// A journal distilled into advisor training cells.
@@ -304,22 +305,6 @@ pub fn evaluate(advisor: &Advisor, scale: Scale) -> AdvisorBench {
         max_regret_top3: max(&|c| c.regret_top3),
         cases,
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn json_f64(v: f64) -> String {

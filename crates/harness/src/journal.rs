@@ -17,6 +17,7 @@
 
 use crate::outcome::{CellOutcome, CellRecord};
 use indigo_graph::gen::Scale;
+use indigo_obs::event::{json_num, json_str};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -412,34 +413,6 @@ enum JsonVal {
     Num(f64),
     Bool(#[allow(dead_code)] bool),
     Null,
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into() // JSON has no NaN/inf; the bits field carries the truth
-    }
 }
 
 /// Parses a single flat JSON object (string/number/bool/null values only —

@@ -22,9 +22,9 @@
 
 use crate::client::{self, ClientResponse};
 use crate::config::ServerConfig;
-use crate::json;
 use crate::server::Server;
 use indigo_harness::CellFaultKind;
+use indigo_obs::event::{json_num, json_str};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,17 +156,17 @@ impl ChaosReport {
             self.breaker_trips,
             self.breaker_recoveries,
             self.recovered_cells,
-            json::num(self.latency_ms.p50),
-            json::num(self.latency_ms.p90),
-            json::num(self.latency_ms.p99),
-            json::num(self.latency_ms.max),
-            json::num(self.saturation_rps),
+            json_num(self.latency_ms.p50),
+            json_num(self.latency_ms.p90),
+            json_num(self.latency_ms.p99),
+            json_num(self.latency_ms.max),
+            json_num(self.saturation_rps),
             self.metrics_series,
             self.advised,
             self.flight_pushed,
             self.flight_dumps,
             self.telemetry_enabled,
-            json::str_lit(&self.config),
+            json_str(&self.config),
         )
     }
 }
@@ -233,7 +233,7 @@ fn json_u64(body: &str, key: &str) -> Option<u64> {
 }
 
 /// First string value of `"key":"…"` in a flat JSON body.
-fn json_str(body: &str, key: &str) -> Option<String> {
+fn str_field(body: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\":\"");
     let i = body.find(&pat)? + pat.len();
     let rest = &body[i..];
@@ -466,7 +466,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosReport, String> {
             advise_resp.status, advise_resp.body
         ));
     }
-    let style = json_str(&advise_resp.body, "style")
+    let style = str_field(&advise_resp.body, "style")
         .ok_or_else(|| format!("/advise body has no \"style\": {}", advise_resp.body))?;
     let advised_pair = [
         format!("/run?algo=tc&graph=2d-grid&scale=tiny&style=auto&deadline_ms={deadline_ms}"),

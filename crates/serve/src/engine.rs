@@ -23,13 +23,13 @@ use crate::cache::ResultCache;
 use crate::config::{parse_scale, scale_label, ServerConfig};
 use crate::flightrec::{Outcome, RequestScope};
 use crate::http::{Request, Response};
-use crate::json;
 use crate::stats::{ServeCounter, Stats};
 use indigo_core::serial;
 use indigo_graph::gen::{suite_graph, Scale, SuiteGraph, SUITE_GRAPHS};
 use indigo_graph::{Csr, INF};
 use indigo_harness::journal::fingerprint;
 use indigo_harness::{CellFaultKind, FaultSpec, RunPlan, TargetSpec};
+use indigo_obs::event::{json_num, json_str};
 use indigo_styles::{enumerate, Algorithm, Model, StyleConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -291,20 +291,21 @@ pub struct EngineCtx<'a> {
     pub stats: &'a Arc<Stats>,
     /// Single-flight registry keyed by cell fingerprint.
     pub flights: &'a Arc<Flights>,
-    /// Batch former, when batching is on (`cfg.batch > 0`).
-    pub batcher: Option<&'a Batcher>,
+    /// Batch former.
+    pub batcher: &'a Batcher,
 }
 
 /// Executes a parsed query against its shard. `deadline_at` is absolute
 /// (stamped at accept, so queue wait counts against the budget).
 ///
-/// Since PR 8 execution goes through the single-flight registry: each
-/// round, the request *claims* the missing cells nobody else is computing
-/// and *joins* the flights already in the air. A round with claims runs
-/// them (through the batch former when batching is on, inline otherwise);
-/// a round with only joins just waits. Either way the request then settles
-/// its own verdict — its 504 clock, retry budget, and breaker report are
-/// never delegated to whoever happens to execute the cells.
+/// Execution goes through the single-flight registry: each round, the
+/// request *claims* the missing cells nobody else is computing and *joins*
+/// the flights already in the air. A round with claims runs them through
+/// the batch former (inline only for a fault-injected attempt or a full
+/// former queue); a round with only joins just waits. Either way the
+/// request then settles its own verdict — its 504 clock, retry budget, and
+/// breaker report are never delegated to whoever happens to execute the
+/// cells.
 ///
 /// `scope` is the request's observability scope (DESIGN.md §7.10): the
 /// engine fills in attempts, batch-wait attribution, the serving flight's
@@ -348,7 +349,7 @@ pub fn execute(
             report_breaker(ctx, shard, false, probe);
             let body = format!(
                 "{{\"status\":\"timeout\",\"error\":{},\"attempts\":{attempt}}}",
-                json::str_lit(&format!(
+                json_str(&format!(
                     "deadline of {} ms exhausted after {attempt} attempt(s)",
                     q.deadline.as_millis(),
                 )),
@@ -446,10 +447,12 @@ pub fn execute(
             claims: claimed,
         };
         // faulted submissions run inline so an injected stall wedges this
-        // request's attempt, never the shared batch former
-        let inline = match (ctx.batcher, fault) {
-            (Some(b), None) => b.submit(sub).err(),
-            (_, _) => Some(sub),
+        // request's attempt, never the shared batch former; so does one the
+        // former cannot take (queue full or closed)
+        let inline = if fault.is_some() {
+            Some(sub)
+        } else {
+            ctx.batcher.submit(sub).err()
         };
         if let Some(sub) = inline {
             let plan = RunPlan {
@@ -640,9 +643,9 @@ fn result_body(
         cell_objs.push(format!(
             "{{\"fp\":\"{:016x}\",\"variant\":{},\"target\":{},\"geps\":{},\"geps_bits\":\"{:016x}\",\"iterations\":{}}}",
             c.fp,
-            json::str_lit(c.variant),
-            json::str_lit(&c.target),
-            json::num(geps),
+            json_str(c.variant),
+            json_str(&c.target),
+            json_num(geps),
             entry.geps_bits,
             entry.iterations
         ));
@@ -650,10 +653,10 @@ fn result_body(
     let mut body = format!(
         "{{\"status\":\"ok\",\"cached\":{cached},\"degraded\":{degraded},\"attempts\":{attempts},\
          \"algo\":{},\"model\":{},\"graph\":{},\"scale\":{},\"cells\":[{}]",
-        json::str_lit(q.algo.label()),
-        json::str_lit(q.model.label()),
-        json::str_lit(q.graph.label()),
-        json::str_lit(scale_label(q.scale)),
+        json_str(q.algo.label()),
+        json_str(q.model.label()),
+        json_str(q.graph.label()),
+        json_str(scale_label(q.scale)),
         cell_objs.join(",")
     );
     if q.sweep {
@@ -661,9 +664,9 @@ fn result_body(
             body.push_str(&format!(
                 ",\"summary\":{{\"cells\":{},\"best_geps\":{},\"best_variant\":{},\"best_target\":{}}}",
                 cell_objs.len(),
-                json::num(geps),
-                json::str_lit(c.variant),
-                json::str_lit(&c.target)
+                json_num(geps),
+                json_str(c.variant),
+                json_str(&c.target)
             ));
         }
     }
@@ -682,17 +685,17 @@ fn failure_body(
         .map(|(variant, target, outcome, detail)| {
             format!(
                 "{{\"variant\":{},\"target\":{},\"outcome\":{},\"detail\":{}}}",
-                json::str_lit(variant),
-                json::str_lit(target),
-                json::str_lit(outcome),
-                json::str_lit(detail)
+                json_str(variant),
+                json_str(target),
+                json_str(outcome),
+                json_str(detail)
             )
         })
         .collect();
     format!(
         "{{\"status\":{},\"error\":{},\"attempts\":{attempts},\"failures\":[{}]}}",
-        json::str_lit(status),
-        json::str_lit(error),
+        json_str(status),
+        json_str(error),
         items.join(",")
     )
 }
@@ -719,9 +722,9 @@ fn degraded(
                 "{{\"status\":\"degraded\",\"degraded\":true,\"breaker\":\"open\",\
                  \"algo\":{},\"graph\":{},\"scale\":{},\"oracle\":{summary},\
                  \"retry_after_ms\":{}}}",
-                json::str_lit(q.algo.label()),
-                json::str_lit(q.graph.label()),
-                json::str_lit(scale_label(q.scale)),
+                json_str(q.algo.label()),
+                json_str(q.graph.label()),
+                json_str(scale_label(q.scale)),
                 retry_after.as_millis()
             );
             Response::json(200, body).with_retry_after(retry_secs)
@@ -799,7 +802,7 @@ fn oracle_summary(algo: Algorithm, g: &Csr) -> String {
             format!(
                 "{{\"kind\":\"serial-pagerank\",\"vertices\":{},\"max_rank\":{}}}",
                 ranks.len(),
-                json::num(max as f64)
+                json_num(max as f64)
             )
         }
         Algorithm::Tc => {

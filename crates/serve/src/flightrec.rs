@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use indigo_obs::{now_micros, SeqRing};
 
-use crate::json::str_lit;
+use indigo_obs::event::json_str;
 
 /// Records the flight recorder retains (newest win).
 pub const FLIGHTREC_CAPACITY: usize = 256;
@@ -158,7 +158,7 @@ impl RequestScope {
         };
         format!(
             ",\"rid\":{},\"served_by\":{},\"timing\":{{\"queue_us\":{},\"batch_wait_us\":{},\"execute_us\":{},\"total_us\":{}}}",
-            str_lit(&self.echo),
+            json_str(&self.echo),
             served,
             self.queue_us,
             self.batch_wait_us,
@@ -300,9 +300,9 @@ impl ReqRecord {
         format!(
             "{{\"seq\":{},\"id\":{},\"ts_us\":{},\"target\":{},\"status\":{},\"outcome\":\"{}\",\"attempts\":{},\"served_by\":{},\"stages\":{{\"queue_us\":{},\"batch_wait_us\":{},\"execute_us\":{},\"total_us\":{}}},\"trigger\":{}}}",
             self.seq,
-            str_lit(self.id_str()),
+            json_str(self.id_str()),
             self.ts_us,
-            str_lit(self.target_str()),
+            json_str(self.target_str()),
             self.status,
             self.outcome_label(),
             self.attempts,

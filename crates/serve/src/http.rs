@@ -10,9 +10,6 @@
 //! of headers) and from every malformed input mapping to a structured 400
 //! rather than a panic or a hang.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-
 /// Largest request head (request line + headers) the server will read.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
@@ -135,32 +132,6 @@ pub fn head_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
-/// Reads a request head off `stream` (up to the terminator). Blocking-path
-/// helper; the reactor parses incrementally with [`head_end`] instead.
-/// Returns the parsed request plus any pipelined bytes read past the head.
-pub fn read_request(stream: &mut TcpStream) -> Result<(Request, Vec<u8>), String> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    let end = loop {
-        if let Some(end) = head_end(&buf) {
-            break end;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(format!("request head exceeds {MAX_HEAD_BYTES} bytes"));
-        }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("read error: {e}"))?;
-        if n == 0 {
-            return Err("connection closed before request was complete".into());
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..end]);
-    let req = Request::parse(&head)?;
-    Ok((req, buf[end..].to_vec()))
-}
-
 /// A response about to be written: status, JSON body, optional
 /// `Retry-After` advice (seconds) for 429/503 sheds, and whether the
 /// connection closes after it.
@@ -242,12 +213,6 @@ impl Response {
         let mut out = head.into_bytes();
         out.extend_from_slice(self.body.as_bytes());
         out
-    }
-
-    /// Writes and flushes the response.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        stream.write_all(&self.to_bytes())?;
-        stream.flush()
     }
 }
 

@@ -7,18 +7,16 @@
 //! immune to coordinated omission: a stalled server inflates the reported
 //! tail instead of silently thinning the sample stream.
 //!
-//! A run drives the same traffic mix through two in-process servers —
-//! `unbatched` (connection-per-request, no reactor, batching off: the
-//! pre-PR-8 serving path) and `batched` (keep-alive + epoll reactor +
-//! single-flight batching) — then reports per-mode percentiles, a
-//! closed-loop saturation throughput, and the speedup between them. The
-//! JSON report (`bench-loadgen-v1`) is what `scripts/ci.sh`'s `serve_perf`
-//! stage gates on.
+//! A run drives the traffic mix through one in-process server on the
+//! serving path (keep-alive connections on the epoll reactor, single-flight
+//! batching), then reports percentiles and a closed-loop saturation
+//! throughput. The JSON report is `bench-loadgen-v2`; `scripts/ci.sh`'s
+//! `serve_perf` stage gates the same measurement.
 
 use crate::client::Client;
 use crate::config::ServerConfig;
-use crate::json;
 use crate::server::Server;
+use indigo_obs::event::{json_num, json_str};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -105,7 +103,7 @@ pub struct StagePcts {
 pub struct StageLatency {
     /// Admission-queue wait (arrival → worker pickup).
     pub queue: StagePcts,
-    /// Flight claim → batch execution start (0 for unbatched cells).
+    /// Flight claim → batch execution start.
     pub batch_wait: StagePcts,
     /// Worker pickup → response assembly.
     pub execute: StagePcts,
@@ -123,11 +121,9 @@ impl StageLatency {
     }
 }
 
-/// What one serving mode measured.
+/// What a load-generator run measured.
 #[derive(Clone, Debug, Default)]
-pub struct ModeReport {
-    /// `unbatched` or `batched`.
-    pub label: String,
+pub struct LoadgenReport {
     /// Offered rate (paced phase).
     pub offered_rps: f64,
     /// Completions per second actually achieved in the paced phase.
@@ -158,44 +154,6 @@ pub struct ModeReport {
     pub saturation_rps: f64,
     /// Server-reported per-stage latency attribution (paced phase).
     pub stage_latency_us: StageLatency,
-}
-
-impl ModeReport {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"offered_rps\": {}, \"achieved_rps\": {}, \"latency_ms\": \
-             {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}, \
-             \"transport_errors\": {}, \"non_2xx\": {}, \"shed\": {}, \
-             \"coalesced\": {}, \"batches\": {}, \"keepalive_reuses\": {}, \
-             \"saturation_rps\": {}, \"stage_latency_us\": {}}}",
-            json::num(self.offered_rps),
-            json::num(self.achieved_rps),
-            json::num(self.p50_ms),
-            json::num(self.p90_ms),
-            json::num(self.p99_ms),
-            json::num(self.p999_ms),
-            json::num(self.max_ms),
-            self.transport_errors,
-            self.non_2xx,
-            self.shed,
-            self.coalesced,
-            self.batches,
-            self.keepalive_reuses,
-            json::num(self.saturation_rps),
-            self.stage_latency_us.to_json(),
-        )
-    }
-}
-
-/// A full loadgen run: both modes plus the headline speedup.
-#[derive(Clone, Debug, Default)]
-pub struct LoadgenReport {
-    /// Pre-PR-8 serving path (connection-per-request, no batching).
-    pub unbatched: ModeReport,
-    /// Keep-alive + reactor + single-flight batching.
-    pub batched: ModeReport,
-    /// `batched.saturation_rps / unbatched.saturation_rps`.
-    pub speedup: f64,
     /// Echo of the run configuration.
     pub config: String,
 }
@@ -204,12 +162,28 @@ impl LoadgenReport {
     /// Renders the `results/BENCH_loadgen.json` document.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"schema\": \"bench-loadgen-v1\",\n  \"unbatched\": {},\n  \
-             \"batched\": {},\n  \"speedup\": {},\n  \"config\": {}\n}}\n",
-            self.unbatched.to_json(),
-            self.batched.to_json(),
-            json::num(self.speedup),
-            json::str_lit(&self.config),
+            "{{\n  \"schema\": \"bench-loadgen-v2\",\n  \"offered_rps\": {},\n  \
+             \"achieved_rps\": {},\n  \"latency_ms\": \
+             {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}},\n  \
+             \"transport_errors\": {},\n  \"non_2xx\": {},\n  \"shed\": {},\n  \
+             \"coalesced\": {},\n  \"batches\": {},\n  \"keepalive_reuses\": {},\n  \
+             \"saturation_rps\": {},\n  \"stage_latency_us\": {},\n  \"config\": {}\n}}\n",
+            json_num(self.offered_rps),
+            json_num(self.achieved_rps),
+            json_num(self.p50_ms),
+            json_num(self.p90_ms),
+            json_num(self.p99_ms),
+            json_num(self.p999_ms),
+            json_num(self.max_ms),
+            self.transport_errors,
+            self.non_2xx,
+            self.shed,
+            self.coalesced,
+            self.batches,
+            self.keepalive_reuses,
+            json_num(self.saturation_rps),
+            self.stage_latency_us.to_json(),
+            json_str(&self.config),
         )
     }
 }
@@ -271,11 +245,19 @@ fn timing_u64(body: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// Runs one serving mode end to end: prime, paced open-loop, closed-loop
-/// saturation.
-fn run_mode(opts: &LoadgenOptions, label: &str, cfg: ServerConfig) -> Result<ModeReport, String> {
+/// Runs the load generator end to end against one in-process server:
+/// prime, paced open-loop, closed-loop saturation. `Err` means the run
+/// itself was invalid (start failure, priming failure, transport errors) —
+/// not that the server was slow.
+pub fn run_loadgen(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
     let timeout = Duration::from_secs(30);
-    let mut server = Server::start(cfg).map_err(|e| format!("{label}: server start: {e}"))?;
+    let cfg = ServerConfig {
+        workers: opts.workers,
+        queue: opts.queue,
+        default_deadline: Duration::from_secs(10),
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(cfg).map_err(|e| format!("server start: {e}"))?;
     let addr = server.addr();
     let targets = targets_for(opts.mix);
 
@@ -283,14 +265,9 @@ fn run_mode(opts: &LoadgenOptions, label: &str, cfg: ServerConfig) -> Result<Mod
     // the cache (the generator measures the serving path, not gpusim)
     let mut primer = Client::new(addr, timeout);
     for t in &targets {
-        let r = primer
-            .get(t)
-            .map_err(|e| format!("{label}: priming `{t}`: {e}"))?;
+        let r = primer.get(t).map_err(|e| format!("priming `{t}`: {e}"))?;
         if r.status != 200 {
-            return Err(format!(
-                "{label}: priming `{t}` returned {} ({})",
-                r.status, r.body
-            ));
+            return Err(format!("priming `{t}` returned {} ({})", r.status, r.body));
         }
     }
     drop(primer);
@@ -408,8 +385,13 @@ fn run_mode(opts: &LoadgenOptions, label: &str, cfg: ServerConfig) -> Result<Mod
             execute: pcts[2],
         }
     };
-    Ok(ModeReport {
-        label: label.into(),
+    let transport_errors = transport_errors.load(Ordering::Relaxed);
+    if transport_errors != 0 {
+        return Err(format!(
+            "{transport_errors} transport error(s) — every request must be answered"
+        ));
+    }
+    Ok(LoadgenReport {
         offered_rps: opts.rps,
         achieved_rps,
         p50_ms: pct_ms(&lat, 50.0),
@@ -417,7 +399,7 @@ fn run_mode(opts: &LoadgenOptions, label: &str, cfg: ServerConfig) -> Result<Mod
         p99_ms: pct_ms(&lat, 99.0),
         p999_ms: pct_ms(&lat, 99.9),
         max_ms: lat.last().copied().unwrap_or(0) as f64 / 1_000.0,
-        transport_errors: transport_errors.load(Ordering::Relaxed),
+        transport_errors,
         non_2xx: non_2xx.load(Ordering::Relaxed),
         shed: snap.shed,
         coalesced: snap.coalesced,
@@ -425,52 +407,16 @@ fn run_mode(opts: &LoadgenOptions, label: &str, cfg: ServerConfig) -> Result<Mod
         keepalive_reuses: snap.keepalive_reuses,
         saturation_rps,
         stage_latency_us,
-    })
-}
-
-/// Runs the full comparison: `unbatched` (the pre-PR-8 path) vs `batched`.
-/// `Err` means the run itself was invalid (start failure, priming failure,
-/// transport errors) — not that the server was slow.
-pub fn run_loadgen(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
-    let base_cfg = |batched: bool| ServerConfig {
-        workers: opts.workers,
-        queue: opts.queue,
-        default_deadline: Duration::from_secs(10),
-        keep_alive: batched,
-        reactor: batched,
-        batch: if batched { 8 } else { 0 },
-        ..ServerConfig::default()
-    };
-    let unbatched = run_mode(opts, "unbatched", base_cfg(false))?;
-    let batched = run_mode(opts, "batched", base_cfg(true))?;
-    for m in [&unbatched, &batched] {
-        if m.transport_errors != 0 {
-            return Err(format!(
-                "{}: {} transport error(s) — every request must be answered",
-                m.label, m.transport_errors
-            ));
-        }
-    }
-    let speedup = if unbatched.saturation_rps > 0.0 {
-        batched.saturation_rps / unbatched.saturation_rps
-    } else {
-        0.0
-    };
-    let config = format!(
-        "rps={} conns={} duration_ms={} saturation_ms={} mix={} workers={} queue={}",
-        opts.rps,
-        opts.conns,
-        opts.duration.as_millis(),
-        opts.saturation.as_millis(),
-        opts.mix.label(),
-        opts.workers,
-        opts.queue
-    );
-    Ok(LoadgenReport {
-        unbatched,
-        batched,
-        speedup,
-        config,
+        config: format!(
+            "rps={} conns={} duration_ms={} saturation_ms={} mix={} workers={} queue={}",
+            opts.rps,
+            opts.conns,
+            opts.duration.as_millis(),
+            opts.saturation.as_millis(),
+            opts.mix.label(),
+            opts.workers,
+            opts.queue
+        ),
     })
 }
 
@@ -496,13 +442,13 @@ mod tests {
     }
 
     #[test]
-    fn report_json_carries_schema_and_modes() {
+    fn report_json_carries_schema_and_one_mode() {
         let r = LoadgenReport::default();
         let j = r.to_json();
-        assert!(j.contains("\"schema\": \"bench-loadgen-v1\""));
-        assert!(j.contains("\"unbatched\""));
-        assert!(j.contains("\"batched\""));
-        assert!(j.contains("\"speedup\""));
+        assert!(j.contains("\"schema\": \"bench-loadgen-v2\""));
+        assert!(j.contains("\"saturation_rps\""));
+        assert!(!j.contains("batched"));
+        assert!(!j.contains("speedup"));
         assert!(j.contains("\"stage_latency_us\""));
         assert!(j.contains("\"batch_wait\""));
     }

@@ -4,16 +4,25 @@
 //! workspace stays dependency-free, so no `libc`/`mio`. Only the three
 //! epoll calls (plus `close`) are bound; everything else the transport
 //! needs (`set_nonblocking`, `set_nodelay`, timeouts) already exists in
-//! std. On non-Linux targets [`Poller::supported`] is `false` and the
-//! server falls back to the blocking accept path.
+//! std. Serving needs Linux epoll: this module holds the whole platform
+//! split, and on other targets [`Poller::new`] returns
+//! `ErrorKind::Unsupported`, which `Server::start` passes on.
 //!
 //! The wrapper is level-triggered: an fd with unread bytes (or unflushed
 //! write space, when write interest is armed) reports ready on every
 //! `wait`, so the event loop never needs to track edge state. Tokens are
-//! caller-chosen `u64`s carried in the kernel's per-fd user data.
+//! caller-chosen `u64`s carried in the kernel's per-fd user data; [`WAKE`]
+//! is reserved for the poller's own wake pipe ([`Registrar::wake`]).
 
 use std::io;
+use std::sync::Arc;
 use std::time::Duration;
+
+pub use sys::{fd_of, Fd, Source};
+
+/// The token [`Poller::wait`] reports after a [`Registrar::wake`]; the
+/// wake bytes are already drained when the event is returned.
+pub const WAKE: u64 = u64::MAX;
 
 /// What to watch an fd for.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -51,209 +60,288 @@ pub struct Event {
     pub hangup: bool,
 }
 
+/// An interest-set change.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Add,
+    Modify,
+    Remove,
+}
+
 #[cfg(target_os = "linux")]
 mod sys {
     //! The raw epoll surface. `epoll_event` is packed on x86-64 (and only
     //! there) to match the kernel ABI.
 
-    #[allow(non_camel_case_types)]
-    pub type c_int = i32;
+    use super::{Event, Interest, Op, WAKE};
+    use std::io::{self, Read, Write};
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
 
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    /// Anything with an fd the poller can watch.
+    pub use std::os::fd::AsRawFd as Source;
+
+    /// A source's raw fd: `Copy`, and itself a [`Source`], so a source can
+    /// be registered after it has been moved elsewhere.
+    pub type Fd = std::os::fd::RawFd;
+
+    /// The raw fd of `src`.
+    pub fn fd_of(src: &impl Source) -> Fd {
+        src.as_raw_fd()
+    }
+
+    #[allow(non_camel_case_types)]
+    type c_int = i32;
+
+    const EPOLL_CLOEXEC: c_int = 0o2000000;
+    const EPOLLIN: u32 = 0x001;
+    const EPOLLOUT: u32 = 0x004;
+    const EPOLLERR: u32 = 0x008;
+    const EPOLLHUP: u32 = 0x010;
+    const EPOLLRDHUP: u32 = 0x2000;
+    /// Events fetched per `epoll_wait`.
+    const BATCH: usize = 64;
 
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
     #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
+    struct EpollEvent {
+        events: u32,
+        data: u64,
     }
 
     extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
+        fn epoll_create1(flags: c_int) -> c_int;
+        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout_ms: c_int,
         ) -> c_int;
-        pub fn close(fd: c_int) -> c_int;
+        fn close(fd: c_int) -> c_int;
     }
-}
 
-/// The epoll fd itself, closed when the last [`Poller`]/[`Registrar`]
-/// sharing it is gone.
-#[cfg(target_os = "linux")]
-struct EpollFd(i32);
+    /// The epoll fd and the socket pair that wakes it; the fd closes when
+    /// the last [`super::Poller`]/[`super::Registrar`] sharing it is gone.
+    pub struct Epoll {
+        fd: c_int,
+        wake_rx: UnixStream,
+        wake_tx: UnixStream,
+    }
 
-#[cfg(target_os = "linux")]
-impl EpollFd {
-    fn ctl(&self, op: sys::c_int, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        let mut ev = sys::EpollEvent {
-            events: {
-                let mut bits = sys::EPOLLRDHUP;
-                if interest.readable {
-                    bits |= sys::EPOLLIN;
-                }
-                if interest.writable {
-                    bits |= sys::EPOLLOUT;
-                }
-                bits
-            },
-            data: token,
-        };
-        // SAFETY: `self.0` is an open epoll fd (closed only when this
-        // value drops) and `ev` is a live, correctly laid out event struct;
-        // a bad `fd` is reported through the return code, not UB.
-        let rc = unsafe { sys::epoll_ctl(self.0, op, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
+    impl Epoll {
+        pub fn new() -> io::Result<Epoll> {
+            let (wake_tx, wake_rx) = UnixStream::pair()?;
+            wake_tx.set_nonblocking(true)?;
+            wake_rx.set_nonblocking(true)?;
+            // SAFETY: a plain syscall; the result is checked below.
+            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            let ep = Epoll {
+                fd,
+                wake_rx,
+                wake_tx,
+            };
+            ep.ctl(Op::Add, &ep.wake_rx, WAKE, Interest::READ)?;
+            Ok(ep)
         }
-        Ok(())
+
+        pub fn ctl(
+            &self,
+            op: Op,
+            src: &impl Source,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
+            let op = match op {
+                Op::Add => 1,
+                Op::Remove => 2,
+                Op::Modify => 3,
+            };
+            let mut bits = EPOLLRDHUP;
+            if interest.readable {
+                bits |= EPOLLIN;
+            }
+            if interest.writable {
+                bits |= EPOLLOUT;
+            }
+            let mut ev = EpollEvent {
+                events: bits,
+                data: token,
+            };
+            // SAFETY: `self.fd` is an open epoll fd (closed only when this
+            // value drops) and `ev` is a live, correctly laid out event
+            // struct; a bad source fd is reported through the return code.
+            let rc = unsafe { epoll_ctl(self.fd, op, src.as_raw_fd(), &mut ev) };
+            if rc < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(())
+        }
+
+        /// A full pipe means wakes are already pending, so a failed write
+        /// is success.
+        pub fn wake(&self) {
+            let _ = (&self.wake_tx).write(&[1u8]);
+        }
+
+        pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+            let timeout_ms: c_int = match timeout {
+                None => -1,
+                Some(d) => d.as_millis().min(i32::MAX as u128) as c_int,
+            };
+            let mut raw = [EpollEvent { events: 0, data: 0 }; BATCH];
+            let n = loop {
+                // SAFETY: `raw` is a live buffer of `BATCH` events for the
+                // kernel to fill.
+                let rc =
+                    unsafe { epoll_wait(self.fd, raw.as_mut_ptr(), BATCH as c_int, timeout_ms) };
+                if rc >= 0 {
+                    break rc as usize;
+                }
+                let err = io::Error::last_os_error();
+                if err.kind() != io::ErrorKind::Interrupted {
+                    return Err(err);
+                }
+            };
+            for ev in &raw[..n] {
+                // copy out of the (possibly packed) kernel struct by value
+                let bits = ev.events;
+                let token = ev.data;
+                if token == WAKE {
+                    let mut sink = [0u8; 64];
+                    while matches!((&self.wake_rx).read(&mut sink), Ok(k) if k > 0) {}
+                }
+                out.push(Event {
+                    token,
+                    readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
+                    writable: bits & EPOLLOUT != 0,
+                    hangup: bits & (EPOLLHUP | EPOLLERR | EPOLLRDHUP) != 0,
+                });
+            }
+            Ok(n)
+        }
+    }
+
+    impl Drop for Epoll {
+        fn drop(&mut self) {
+            // SAFETY: the fd came from `epoll_create1` and nothing else owns
+            // it; the last sharer is dropping, so no later call can use it.
+            unsafe { close(self.fd) };
+        }
     }
 }
 
-#[cfg(target_os = "linux")]
-impl Drop for EpollFd {
-    fn drop(&mut self) {
-        // SAFETY: the fd came from `epoll_create1` and nothing else owns
-        // it; the last sharer is dropping, so no later call can use it.
-        unsafe { sys::close(self.0) };
+#[cfg(not(target_os = "linux"))]
+mod sys {
+    //! No readiness polling off Linux: no poller can be built, so the
+    //! methods below are unreachable.
+
+    use super::{Event, Interest, Op};
+    use std::io;
+    use std::time::Duration;
+
+    /// Anything the poller could watch (nothing, on this target).
+    pub trait Source {}
+    impl<T> Source for T {}
+
+    /// A source's raw fd (none, on this target).
+    pub type Fd = ();
+
+    /// The raw fd of `src` (none, on this target).
+    pub fn fd_of(_: &impl Source) -> Fd {}
+
+    pub enum Epoll {}
+
+    impl Epoll {
+        pub fn new() -> io::Result<Epoll> {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "serving needs epoll readiness polling (Linux)",
+            ))
+        }
+
+        pub fn ctl(&self, _: Op, _: &impl Source, _: u64, _: Interest) -> io::Result<()> {
+            match *self {}
+        }
+
+        pub fn wake(&self) {
+            match *self {}
+        }
+
+        pub fn wait(&self, _: &mut Vec<Event>, _: Option<Duration>) -> io::Result<usize> {
+            match *self {}
+        }
     }
 }
 
-/// An epoll instance (Linux) or an always-erroring stub (elsewhere).
+/// An epoll instance with its wake pipe.
 pub struct Poller {
-    #[cfg(target_os = "linux")]
-    epfd: std::sync::Arc<EpollFd>,
-    #[cfg(target_os = "linux")]
-    scratch: std::cell::RefCell<Vec<sys::EpollEvent>>,
+    epoll: Arc<sys::Epoll>,
 }
 
 /// A `Send + Sync` handle that registers fds with a [`Poller`]'s epoll set
-/// from other threads (workers hand finished keep-alive connections back
-/// this way). It shares ownership of the epoll fd, so the fd stays open
-/// while any handle lives: a handle that outlives its poller registers
-/// into a set nobody waits on, never into a closed or recycled fd number.
-#[cfg(target_os = "linux")]
+/// and wakes its `wait` from other threads (workers hand finished
+/// keep-alive connections back this way). It shares ownership of the epoll
+/// fd, so the fd stays open while any handle lives: a handle that outlives
+/// its poller registers into a set nobody waits on, never into a closed or
+/// recycled fd number.
 #[derive(Clone)]
 pub struct Registrar {
-    epfd: std::sync::Arc<EpollFd>,
+    epoll: Arc<sys::Epoll>,
 }
 
-#[cfg(target_os = "linux")]
 impl Registrar {
-    /// Registers `fd` under `token`, exactly as [`Poller::add`].
-    pub fn add(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        self.epfd.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
+    /// Registers `src` under `token`, exactly as [`Poller::add`].
+    pub fn add(&self, src: &impl Source, token: u64, interest: Interest) -> io::Result<()> {
+        self.epoll.ctl(Op::Add, src, token, interest)
+    }
+
+    /// Makes the poller's current or next `wait` return a [`WAKE`] event.
+    pub fn wake(&self) {
+        self.epoll.wake();
     }
 }
 
 impl Poller {
-    /// Whether readiness polling works on this target.
-    pub fn supported() -> bool {
-        cfg!(target_os = "linux")
-    }
-
-    /// A fresh epoll instance.
-    #[cfg(target_os = "linux")]
+    /// A fresh epoll instance (`ErrorKind::Unsupported` off Linux).
     pub fn new() -> io::Result<Poller> {
-        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
         Ok(Poller {
-            epfd: std::sync::Arc::new(EpollFd(epfd)),
-            scratch: std::cell::RefCell::new(vec![sys::EpollEvent { events: 0, data: 0 }; 64]),
+            epoll: Arc::new(sys::Epoll::new()?),
         })
     }
 
-    /// Readiness polling is Linux-only; other targets use the blocking
-    /// accept path.
-    #[cfg(not(target_os = "linux"))]
-    pub fn new() -> io::Result<Poller> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "readiness polling needs epoll (Linux)",
-        ))
-    }
-
     /// A cross-thread registration handle on this poller's epoll set.
-    #[cfg(target_os = "linux")]
     pub fn registrar(&self) -> Registrar {
         Registrar {
-            epfd: std::sync::Arc::clone(&self.epfd),
+            epoll: Arc::clone(&self.epoll),
         }
     }
 
-    /// Registers `fd` under `token`.
-    #[cfg(target_os = "linux")]
-    pub fn add(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        self.epfd.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
+    /// Registers `src` under `token`.
+    pub fn add(&self, src: &impl Source, token: u64, interest: Interest) -> io::Result<()> {
+        self.epoll.ctl(Op::Add, src, token, interest)
     }
 
-    /// Changes the interest set of a registered fd.
-    #[cfg(target_os = "linux")]
-    pub fn modify(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        self.epfd.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
+    /// Changes the interest set of a registered source.
+    pub fn modify(&self, src: &impl Source, token: u64, interest: Interest) -> io::Result<()> {
+        self.epoll.ctl(Op::Modify, src, token, interest)
     }
 
-    /// Deregisters `fd` (ownership of the fd is handed elsewhere, e.g. to
-    /// a worker thread).
-    #[cfg(target_os = "linux")]
-    pub fn remove(&self, fd: i32) -> io::Result<()> {
-        self.epfd
-            .ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::default())
+    /// Deregisters `src` (ownership of it is handed elsewhere, e.g. to a
+    /// worker thread).
+    pub fn remove(&self, src: &impl Source) -> io::Result<()> {
+        self.epoll.ctl(Op::Remove, src, 0, Interest::default())
     }
 
     /// Blocks for readiness up to `timeout` (`None` = forever) and appends
     /// the ready set to `out`. Returns how many events fired. `EINTR`
     /// retries internally.
-    #[cfg(target_os = "linux")]
     pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        let timeout_ms: sys::c_int = match timeout {
-            None => -1,
-            Some(d) => d.as_millis().min(i32::MAX as u128) as sys::c_int,
-        };
-        let mut scratch = self.scratch.borrow_mut();
-        let n = loop {
-            let rc = unsafe {
-                sys::epoll_wait(
-                    self.epfd.0,
-                    scratch.as_mut_ptr(),
-                    scratch.len() as sys::c_int,
-                    timeout_ms,
-                )
-            };
-            if rc >= 0 {
-                break rc as usize;
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        };
-        for raw in scratch.iter().take(n) {
-            // copy out of the (possibly packed) kernel struct by value
-            let bits = raw.events;
-            let token = raw.data;
-            out.push(Event {
-                token,
-                readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
-                writable: bits & sys::EPOLLOUT != 0,
-                hangup: bits & (sys::EPOLLHUP | sys::EPOLLERR | sys::EPOLLRDHUP) != 0,
-            });
-        }
-        Ok(n)
+        self.epoll.wait(out, timeout)
     }
 }
 
@@ -261,7 +349,6 @@ impl Poller {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
-    use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
     use std::time::Instant;
 
@@ -270,7 +357,7 @@ mod tests {
         let poller = Poller::new().unwrap();
         let (mut tx, rx) = UnixStream::pair().unwrap();
         rx.set_nonblocking(true).unwrap();
-        poller.add(rx.as_raw_fd(), 7, Interest::READ).unwrap();
+        poller.add(&rx, 7, Interest::READ).unwrap();
 
         let mut events = Vec::new();
         // nothing yet: a short wait times out with no events
@@ -294,7 +381,7 @@ mod tests {
         let poller = Poller::new().unwrap();
         let (tx, mut rx) = UnixStream::pair().unwrap();
         rx.set_nonblocking(true).unwrap();
-        poller.add(rx.as_raw_fd(), 9, Interest::READ).unwrap();
+        poller.add(&rx, 9, Interest::READ).unwrap();
 
         // peer shuts down its write side without sending anything — the
         // half-closed connection must still wake the poller (RDHUP), and
@@ -312,28 +399,39 @@ mod tests {
     }
 
     #[test]
-    fn registrar_adds_from_another_thread_and_outlives_the_poller() {
+    fn registrar_adds_and_wakes_from_another_thread_and_outlives_the_poller() {
         let poller = Poller::new().unwrap();
         let (mut tx, rx) = UnixStream::pair().unwrap();
         rx.set_nonblocking(true).unwrap();
         let registrar = poller.registrar();
-        let fd = rx.as_raw_fd();
-        std::thread::spawn(move || registrar.add(fd, 5, Interest::READ).unwrap())
-            .join()
-            .unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                registrar.add(&rx, 5, Interest::READ).unwrap();
+                registrar.wake();
+                registrar.wake(); // coalesces into the same drained event
+            });
+        });
         tx.write_all(b"x").unwrap();
         let mut events = Vec::new();
         poller
             .wait(&mut events, Some(Duration::from_secs(2)))
             .unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 5);
+        let mut tokens: Vec<u64> = events.iter().map(|e| e.token).collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, [5, WAKE]);
+
+        // the wake bytes were drained: the next wait reports only the fd
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.iter().all(|e| e.token == 5), "{events:?}");
 
         // the epoll fd stays open for a handle that outlives the poller
         let late = poller.registrar();
         drop(poller);
         let (_tx2, rx2) = UnixStream::pair().unwrap();
-        late.add(rx2.as_raw_fd(), 6, Interest::READ).unwrap();
+        late.add(&rx2, 6, Interest::READ).unwrap();
     }
 
     #[test]
@@ -341,23 +439,21 @@ mod tests {
         let poller = Poller::new().unwrap();
         let (tx, _rx) = UnixStream::pair().unwrap();
         tx.set_nonblocking(true).unwrap();
-        poller.add(tx.as_raw_fd(), 3, Interest::READ).unwrap();
+        poller.add(&tx, 3, Interest::READ).unwrap();
         let mut events = Vec::new();
         poller
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert!(events.is_empty(), "no read interest satisfied yet");
 
-        poller
-            .modify(tx.as_raw_fd(), 3, Interest::READ_WRITE)
-            .unwrap();
+        poller.modify(&tx, 3, Interest::READ_WRITE).unwrap();
         poller
             .wait(&mut events, Some(Duration::from_secs(2)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 3 && e.writable));
 
         events.clear();
-        poller.remove(tx.as_raw_fd()).unwrap();
+        poller.remove(&tx).unwrap();
         let t0 = Instant::now();
         poller
             .wait(&mut events, Some(Duration::from_millis(20)))

@@ -1,20 +1,19 @@
 //! The server proper: event-driven acceptor, bounded admission queue,
 //! worker pool, routing, and crash-only shutdown (DESIGN.md §7.8, §7.9).
 //!
-//! Topology since PR 8: on Linux a single **reactor** thread owns the
-//! listener and every connection that is not mid-request — it accepts,
-//! reads request heads with readiness-driven non-blocking I/O
-//! ([`crate::reactor::Poller`]), and pushes *parsed* requests onto the
-//! bounded [`Admission`] queue. Idle keep-alive connections cost an epoll
-//! slot, not a parked thread. When the queue is full the reactor queues the
-//! `429` bytes on the connection's write buffer and flushes them as the
-//! socket drains — overload never blocks the acceptor. Workers pop
-//! requests, execute them through the engine (single-flight + batching,
-//! `crate::batch`), write the response on the still non-blocking socket
-//! (blocking only if the send buffer is full), and re-register the
-//! still-alive connection with epoll themselves. On non-Linux targets (or
-//! with `reactor: false`) the server falls back to the original blocking
-//! accept path, now with per-connection keep-alive loops.
+//! Topology: a single **reactor** thread owns the listener and every
+//! connection that is not mid-request — it accepts, reads request heads
+//! with readiness-driven non-blocking I/O ([`crate::reactor::Poller`]), and
+//! pushes *parsed* requests onto the bounded [`Admission`] queue. Idle
+//! keep-alive connections cost an epoll slot, not a parked thread. When the
+//! queue is full the reactor queues the `429` bytes on the connection's
+//! write buffer and flushes them as the socket drains — overload never
+//! blocks the acceptor. Workers pop requests, execute them through the
+//! engine (single-flight + batching, `crate::batch`), write the response on
+//! the still non-blocking socket (blocking only if the send buffer is
+//! full), and re-register the still-alive connection with epoll
+//! themselves. Serving needs Linux epoll; elsewhere [`Server::start`]
+//! returns `ErrorKind::Unsupported`.
 //!
 //! Every worker turn is wrapped in `catch_unwind`: a panicking request
 //! burns one connection, never a worker, never the process.
@@ -26,67 +25,56 @@ use crate::config::ServerConfig;
 use crate::engine::{self, EngineCtx, Shard};
 use crate::flightrec::{FlightRecorder, Outcome, ReqRecord, RequestScope};
 use crate::http::{head_end, Request, Response, MAX_HEAD_BYTES};
-use crate::json;
+use crate::reactor::{fd_of, Interest, Poller, Registrar, WAKE};
 use crate::stats::{ServeCounter, Stats};
 use indigo_graph::gen::{Scale, SuiteGraph, SUITE_GRAPHS};
 use indigo_graph::stats::FEATURE_NAMES;
+use indigo_obs::event::{json_num, json_str};
 use indigo_styles::{enumerate, Algorithm, Model, StyleConfig};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-#[cfg(target_os = "linux")]
-use std::sync::{atomic::AtomicUsize, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Per-connection stream deadlines once a worker owns the socket: a client
-/// that stops reading or writing cannot pin a worker forever.
+/// Bounds a worker's blocking write once a response overfills the send
+/// buffer: a client that stops reading cannot pin a worker forever.
 const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How long the blocking fallback waits for the *next* request on an idle
-/// keep-alive connection before closing it (the reactor path has no such
-/// limit — idle connections there cost an epoll slot, not a thread).
-const FALLBACK_KEEPALIVE_IDLE: Duration = Duration::from_millis(500);
+/// The listener's epoll token; connections count up from 1.
+const TOKEN_LISTENER: u64 = 0;
 
-/// One unit of work for the worker pool.
-enum Job {
-    /// Reactor mode: the head is already read and parsed; `leftover` holds
-    /// pipelined bytes past it.
-    Ready {
-        stream: TcpStream,
-        req: Result<Request, String>,
-        arrived: Instant,
-        leftover: Vec<u8>,
-        /// The connection's epoll token, kept across its requests.
-        token: u64,
-    },
-    /// Blocking fallback: a raw accepted connection the worker reads
-    /// itself.
-    Raw { stream: TcpStream, arrived: Instant },
+/// One unit of work for the worker pool: a request the reactor read and
+/// parsed.
+struct Job {
+    stream: TcpStream,
+    req: Result<Request, String>,
+    arrived: Instant,
+    /// Pipelined bytes past the head.
+    leftover: Vec<u8>,
+    /// The connection's epoll token, kept across its requests.
+    token: u64,
 }
 
 /// A keep-alive connection a worker handed back for more requests.
-#[cfg(target_os = "linux")]
 struct Parked {
     stream: TcpStream,
     leftover: Vec<u8>,
 }
 
 /// The worker-facing half of the reactor (DESIGN.md §7.9).
-#[cfg(target_os = "linux")]
 struct ReactorShared {
     /// Lets workers re-register finished keep-alive connections with the
-    /// reactor's epoll set directly.
-    registrar: crate::reactor::Registrar,
+    /// reactor's epoll set directly, and wake the reactor (for shutdown,
+    /// and for `handed_back`).
+    registrar: Registrar,
     /// Connections a worker re-registered, by token: the reactor takes one
     /// back when its fd next fires. Inserted *before* the registration, so
     /// the reactor always finds the state of a token that fires.
     parked: Mutex<HashMap<u64, Parked>>,
-    /// Wakes the reactor: for shutdown, and for `handed_back`.
-    wake_tx: Mutex<std::os::unix::net::UnixStream>,
     /// Connections whose leftover already holds pipelined bytes: their fd
     /// may never fire for bytes already read, so the reactor takes them
     /// back on a wake instead.
@@ -96,16 +84,6 @@ struct ReactorShared {
     watched: AtomicUsize,
 }
 
-#[cfg(target_os = "linux")]
-impl ReactorShared {
-    /// Nudges the reactor out of `wait`. A full pipe means wakes are
-    /// already pending, so `WouldBlock` is success.
-    fn wake(&self) {
-        let mut tx = self.wake_tx.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = tx.write(&[1u8]);
-    }
-}
-
 struct Inner {
     cfg: ServerConfig,
     cache: Arc<ResultCache>,
@@ -113,15 +91,14 @@ struct Inner {
     queue: Admission<Job>,
     stats: Arc<Stats>,
     flights: Arc<Flights>,
-    batcher: Option<Batcher>,
+    batcher: Batcher,
     advisors: crate::advise::AdvisorHub,
     shutdown: AtomicBool,
     /// Request sequence counter; `next_seq` starts at 1 so `served_by == 0`
     /// always means "executed its own cells".
     req_seq: AtomicU64,
     recorder: FlightRecorder,
-    #[cfg(target_os = "linux")]
-    reactor: Option<Arc<ReactorShared>>,
+    reactor: ReactorShared,
 }
 
 /// The next request sequence number (1-based).
@@ -138,9 +115,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, replays the journal, and spawns the reactor (or blocking
-    /// acceptor) + worker pool.
+    /// Builds the poller, binds, replays the journal, and spawns the
+    /// reactor, the batch former and the worker pool. Off Linux the poller
+    /// cannot be built and this returns `ErrorKind::Unsupported`.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
+        let poller = Poller::new()?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let cache = Arc::new(ResultCache::open(cfg.journal.as_deref())?);
@@ -151,41 +130,15 @@ impl Server {
         }
         let queue = Admission::new(cfg.queue);
         let workers_n = cfg.workers.max(1);
-        let batcher = if cfg.batch > 0 {
-            Some(Batcher::spawn(
-                BatchConfig {
-                    max_batch: cfg.batch,
-                    window: cfg.batch_window,
-                },
-                Arc::clone(&cache),
-                Arc::clone(&stats),
-                cfg.jobs,
-            )?)
-        } else {
-            None
-        };
-
-        #[cfg(target_os = "linux")]
-        let (reactor_shared, reactor_parts) = if cfg.reactor {
-            match crate::reactor::Poller::new() {
-                Ok(poller) => {
-                    let (wake_tx, wake_rx) = std::os::unix::net::UnixStream::pair()?;
-                    wake_tx.set_nonblocking(true)?;
-                    let shared = Arc::new(ReactorShared {
-                        registrar: poller.registrar(),
-                        parked: Mutex::new(HashMap::new()),
-                        wake_tx: Mutex::new(wake_tx),
-                        handed_back: Mutex::new(Vec::new()),
-                        watched: AtomicUsize::new(0),
-                    });
-                    (Some(Arc::clone(&shared)), Some((poller, wake_rx, shared)))
-                }
-                Err(_) => (None, None),
-            }
-        } else {
-            (None, None)
-        };
-
+        let batcher = Batcher::spawn(
+            BatchConfig {
+                max_batch: cfg.batch,
+                window: cfg.batch_window,
+            },
+            Arc::clone(&cache),
+            Arc::clone(&stats),
+            cfg.jobs,
+        )?;
         let inner = Arc::new(Inner {
             cfg,
             cache,
@@ -198,33 +151,20 @@ impl Server {
             shutdown: AtomicBool::new(false),
             req_seq: AtomicU64::new(0),
             recorder: FlightRecorder::new(),
-            #[cfg(target_os = "linux")]
-            reactor: reactor_shared,
+            reactor: ReactorShared {
+                registrar: poller.registrar(),
+                parked: Mutex::new(HashMap::new()),
+                handed_back: Mutex::new(Vec::new()),
+                watched: AtomicUsize::new(0),
+            },
         });
 
-        #[cfg(target_os = "linux")]
-        let acceptor = match reactor_parts {
-            Some((poller, wake_rx, shared)) => {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name("serve-reactor".into())
-                    .spawn(move || reactor_loop(&inner, &listener, &poller, &wake_rx, &shared))?
-            }
-            None => {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name("serve-accept".into())
-                    .spawn(move || accept_loop(&inner, &listener))?
-            }
-        };
-        #[cfg(not(target_os = "linux"))]
         let acceptor = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
-                .name("serve-accept".into())
-                .spawn(move || accept_loop(&inner, &listener))?
+                .name("serve-reactor".into())
+                .spawn(move || reactor_loop(&inner, &listener, &poller))?
         };
-
         let mut workers = Vec::with_capacity(workers_n);
         for i in 0..workers_n {
             let inner = Arc::clone(&inner);
@@ -262,12 +202,7 @@ impl Server {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // the reactor wakes on its pipe; the fallback acceptor polls the
-        // flag — neither needs a throwaway connection anymore
-        #[cfg(target_os = "linux")]
-        if let Some(r) = &self.inner.reactor {
-            r.wake();
-        }
+        self.inner.reactor.registrar.wake();
         self.inner.queue.close();
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
@@ -275,9 +210,7 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        if let Some(b) = &self.inner.batcher {
-            b.shutdown();
-        }
+        self.inner.batcher.shutdown();
     }
 }
 
@@ -287,478 +220,358 @@ impl Drop for Server {
     }
 }
 
-// ---- reactor path (Linux) -------------------------------------------------
+// ---- reactor ---------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
-mod reactor_impl {
-    use super::*;
-    use crate::reactor::{Interest, Poller};
-    use std::os::fd::AsRawFd;
-    use std::os::unix::net::UnixStream;
+/// A connection the reactor is watching: accumulating a request head,
+/// flushing a queued response (sheds, 400s), or idle between keep-alive
+/// requests.
+struct ConnBuf {
+    stream: TcpStream,
+    buf: Vec<u8>,
+    write_buf: Vec<u8>,
+    wpos: usize,
+    arrived: Instant,
+    reused: bool,
+    close_after_write: bool,
+}
 
-    const TOKEN_LISTENER: u64 = 0;
-    const TOKEN_WAKE: u64 = 1;
-
-    /// A connection the reactor is watching: accumulating a request head,
-    /// flushing a queued response (sheds, 400s), or idle between keep-alive
-    /// requests.
-    struct ConnBuf {
-        stream: TcpStream,
-        buf: Vec<u8>,
-        write_buf: Vec<u8>,
-        wpos: usize,
-        arrived: Instant,
-        reused: bool,
-        close_after_write: bool,
-    }
-
-    impl ConnBuf {
-        fn new(stream: TcpStream, buf: Vec<u8>, reused: bool) -> ConnBuf {
-            ConnBuf {
-                stream,
-                buf,
-                write_buf: Vec::new(),
-                wpos: 0,
-                arrived: Instant::now(),
-                reused,
-                close_after_write: false,
-            }
-        }
-
-        /// A keep-alive connection back from a worker.
-        fn parked(p: Parked) -> ConnBuf {
-            ConnBuf::new(p.stream, p.leftover, true)
+impl ConnBuf {
+    fn new(stream: TcpStream, buf: Vec<u8>, reused: bool) -> ConnBuf {
+        ConnBuf {
+            stream,
+            buf,
+            write_buf: Vec::new(),
+            wpos: 0,
+            arrived: Instant::now(),
+            reused,
+            close_after_write: false,
         }
     }
 
-    enum Verdict {
-        Keep,
-        Drop,
-        /// A complete head landed: dispatch to the worker pool.
-        Dispatch(usize),
-    }
-
-    pub(super) fn reactor_loop(
-        inner: &Inner,
-        listener: &TcpListener,
-        poller: &Poller,
-        wake_rx: &UnixStream,
-        shared: &ReactorShared,
-    ) {
-        if listener.set_nonblocking(true).is_err() || wake_rx.set_nonblocking(true).is_err() {
-            return;
-        }
-        if poller
-            .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .is_err()
-            || poller
-                .add(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)
-                .is_err()
-        {
-            return;
-        }
-        let mut conns: HashMap<u64, ConnBuf> = HashMap::new();
-        let mut next_token: u64 = 2;
-        let mut events = Vec::with_capacity(64);
-        loop {
-            events.clear();
-            let _ = poller.wait(&mut events, Some(Duration::from_millis(250)));
-            if inner.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            for ev in events.drain(..) {
-                match ev.token {
-                    TOKEN_LISTENER => accept_ready(listener, poller, &mut conns, &mut next_token),
-                    TOKEN_WAKE => {
-                        let mut scratch = [0u8; 64];
-                        let mut rx = wake_rx;
-                        while matches!(rx.read(&mut scratch), Ok(n) if n > 0) {}
-                        let handed_back = std::mem::take(&mut *lock(&shared.handed_back));
-                        for (token, p) in handed_back {
-                            take_back(inner, poller, &mut conns, token, p);
-                        }
-                    }
-                    token => {
-                        // a connection mid-head or flushing, else one a
-                        // worker re-registered since it last fired
-                        let mut cb = match conns.remove(&token) {
-                            Some(cb) => cb,
-                            None => match lock(&shared.parked).remove(&token) {
-                                Some(p) => ConnBuf::parked(p),
-                                None => continue,
-                            },
-                        };
-                        let verdict = on_event(inner, &mut cb, ev.writable, ev.readable);
-                        settle(inner, poller, &mut conns, token, cb, verdict);
-                    }
-                }
-            }
-            let watched = conns.len() + lock(&shared.parked).len();
-            shared.watched.store(watched, Ordering::Relaxed);
-            indigo_obs::Gauge::ServeParkedConns.set(watched as i64);
-            // reap connections dribbling a head (slow-loris) or wedged on a
-            // pending write
-            let deadline = inner.cfg.header_timeout;
-            let dead: Vec<u64> = conns
-                .iter()
-                .filter(|(_, c)| {
-                    (!c.buf.is_empty() || c.wpos < c.write_buf.len())
-                        && c.arrived.elapsed() > deadline
-                })
-                .map(|(t, _)| *t)
-                .collect();
-            for t in dead {
-                if let Some(cb) = conns.remove(&t) {
-                    let _ = poller.remove(cb.stream.as_raw_fd());
-                }
-            }
-        }
-        // shutdown: tear everything down
-        for (_, cb) in conns.drain() {
-            let _ = poller.remove(cb.stream.as_raw_fd());
-        }
-        lock(&shared.parked).clear();
-        lock(&shared.handed_back).clear();
-        let _ = poller.remove(listener.as_raw_fd());
-        let _ = poller.remove(wake_rx.as_raw_fd());
-    }
-
-    fn accept_ready(
-        listener: &TcpListener,
-        poller: &Poller,
-        conns: &mut HashMap<u64, ConnBuf>,
-        next_token: &mut u64,
-    ) {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = *next_token;
-                    *next_token += 1;
-                    // level-triggered: a request that is already readable
-                    // reports on the next wait, so no speculative read
-                    if poller
-                        .add(stream.as_raw_fd(), token, Interest::READ)
-                        .is_ok()
-                    {
-                        conns.insert(token, ConnBuf::new(stream, Vec::new(), false));
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// Takes back a connection a worker handed over through the wake pipe
-    /// (its leftover holds pipelined bytes). A full head dispatches at once
-    /// without touching epoll; a partial one is watched, so the rest of the
-    /// head fires it and the header-timeout sweep covers a stalled one.
-    fn take_back(
-        inner: &Inner,
-        poller: &Poller,
-        conns: &mut HashMap<u64, ConnBuf>,
-        token: u64,
-        p: Parked,
-    ) {
-        let cb = ConnBuf::parked(p);
-        if let Some(end) = head_end(&cb.buf) {
-            settle(inner, poller, conns, token, cb, Verdict::Dispatch(end));
-        } else if poller
-            .add(cb.stream.as_raw_fd(), token, Interest::READ)
-            .is_ok()
-        {
-            conns.insert(token, cb);
-        }
-    }
-
-    /// Applies readiness to one connection.
-    fn on_event(inner: &Inner, cb: &mut ConnBuf, writable: bool, readable: bool) -> Verdict {
-        if writable || (cb.wpos < cb.write_buf.len()) {
-            match flush_pending(cb) {
-                Ok(true) if cb.close_after_write => return Verdict::Drop,
-                Ok(_) => {}
-                Err(_) => return Verdict::Drop,
-            }
-        }
-        if !readable {
-            return Verdict::Keep;
-        }
-        let mut chunk = [0u8; 1024];
-        loop {
-            match cb.stream.read(&mut chunk) {
-                Ok(0) => {
-                    // EOF: half-closed or done. If a write is still
-                    // pending, keep flushing; otherwise reap
-                    return if cb.wpos < cb.write_buf.len() {
-                        Verdict::Keep
-                    } else {
-                        Verdict::Drop
-                    };
-                }
-                Ok(n) => {
-                    if cb.buf.is_empty() {
-                        cb.arrived = Instant::now(); // new request head starts
-                    }
-                    cb.buf.extend_from_slice(&chunk[..n]);
-                    if let Some(end) = head_end(&cb.buf) {
-                        return Verdict::Dispatch(end);
-                    }
-                    if cb.buf.len() > MAX_HEAD_BYTES {
-                        inner.stats.bump(ServeCounter::Requests);
-                        inner.stats.bump(ServeCounter::BadRequests);
-                        let seq = next_seq(inner);
-                        let resp = Response::json(
-                            400,
-                            format!(
-                                "{{\"status\":\"bad-request\",\"error\":\"request head exceeds {MAX_HEAD_BYTES} bytes\"}}"
-                            ),
-                        )
-                        .with_close()
-                        .with_request_id(format!("{seq:016x}"));
-                        cb.buf.clear();
-                        cb.write_buf = resp.to_bytes();
-                        cb.wpos = 0;
-                        cb.close_after_write = true;
-                        return match flush_pending(cb) {
-                            Ok(true) => Verdict::Drop,
-                            Ok(false) => Verdict::Keep,
-                            Err(_) => Verdict::Drop,
-                        };
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Verdict::Keep,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Verdict::Drop,
-            }
-        }
-    }
-
-    /// Flushes as much of the queued response as the socket takes.
-    /// `Ok(true)` = fully flushed.
-    fn flush_pending(cb: &mut ConnBuf) -> std::io::Result<bool> {
-        while cb.wpos < cb.write_buf.len() {
-            match cb.stream.write(&cb.write_buf[cb.wpos..]) {
-                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero)),
-                Ok(n) => cb.wpos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
-    }
-
-    /// Carries out a verdict: re-watch, tear down, or hand to the workers.
-    fn settle(
-        inner: &Inner,
-        poller: &Poller,
-        conns: &mut HashMap<u64, ConnBuf>,
-        token: u64,
-        mut cb: ConnBuf,
-        verdict: Verdict,
-    ) {
-        match verdict {
-            Verdict::Keep => {
-                let interest = if cb.wpos < cb.write_buf.len() {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::READ
-                };
-                let _ = poller.modify(cb.stream.as_raw_fd(), token, interest);
-                conns.insert(token, cb);
-            }
-            Verdict::Drop => {
-                let _ = poller.remove(cb.stream.as_raw_fd());
-            }
-            Verdict::Dispatch(end) => {
-                inner.stats.bump(ServeCounter::Requests);
-                if cb.reused {
-                    inner.stats.bump(ServeCounter::KeepAliveReuses);
-                }
-                let head = String::from_utf8_lossy(&cb.buf[..end]).into_owned();
-                let req = Request::parse(&head);
-                let leftover = cb.buf[end..].to_vec();
-                // deregister *before* the hand-off: once pushed, a fast
-                // worker may re-register the fd under this same token, and
-                // a late remove would delete that fresh registration
-                let _ = poller.remove(cb.stream.as_raw_fd());
-                let job = Job::Ready {
-                    stream: cb.stream,
-                    req,
-                    arrived: cb.arrived,
-                    leftover,
-                    token,
-                };
-                match inner.queue.try_push(job) {
-                    Ok(()) => {}
-                    Err(PushError::Full(job)) => {
-                        // shed without blocking: queue the 429 on the
-                        // connection and let readiness flush it
-                        let Job::Ready {
-                            stream,
-                            req,
-                            arrived,
-                            ..
-                        } = job
-                        else {
-                            return;
-                        };
-                        inner.stats.bump(ServeCounter::Shed);
-                        let mut scope = RequestScope::new(
-                            next_seq(inner),
-                            req.as_ref().ok().and_then(|r| r.request_id.clone()),
-                            arrived,
-                        );
-                        scope.queue_us = micros_since(arrived);
-                        scope.outcome = Outcome::Shed;
-                        let target = req
-                            .as_ref()
-                            .map(req_target)
-                            .unwrap_or_else(|_| "<unparsed>".into());
-                        inner
-                            .recorder
-                            .push(ReqRecord::from_scope(&scope, &target, 429));
-                        let secs = inner.stats.retry_after_secs(inner.queue.depth());
-                        let resp = Response::json(
-                            429,
-                            format!(
-                                "{{\"status\":\"shed\",\"error\":\"admission queue full\",\"retry_after_s\":{secs}}}"
-                            ),
-                        )
-                        .with_retry_after(secs)
-                        .with_close()
-                        .with_request_id(scope.echo);
-                        cb = ConnBuf {
-                            stream,
-                            buf: Vec::new(),
-                            write_buf: resp.to_bytes(),
-                            wpos: 0,
-                            arrived: Instant::now(),
-                            reused: cb.reused,
-                            close_after_write: true,
-                        };
-                        if matches!(flush_pending(&mut cb), Ok(false))
-                            && poller
-                                .add(cb.stream.as_raw_fd(), token, Interest::READ_WRITE)
-                                .is_ok()
-                        {
-                            conns.insert(token, cb);
-                        }
-                    }
-                    Err(PushError::Closed(_)) => {}
-                }
-            }
-        }
-    }
-
-    /// Parks a keep-alive connection back with the reactor after a worker
-    /// finishes a request on it: the worker re-registers the fd itself, so
-    /// the reactor is not woken. Only a connection that already holds
-    /// pipelined bytes goes through the wake pipe (see [`take_back`]).
-    pub(super) fn park(inner: &Inner, stream: TcpStream, leftover: Vec<u8>, token: u64) {
-        let Some(shared) = &inner.reactor else {
-            return;
-        };
-        if !leftover.is_empty() {
-            lock(&shared.handed_back).push((token, Parked { stream, leftover }));
-            shared.wake();
-            return;
-        }
-        let fd = stream.as_raw_fd();
-        lock(&shared.parked).insert(token, Parked { stream, leftover });
-        if shared.registrar.add(fd, token, Interest::READ).is_err() {
-            lock(&shared.parked).remove(&token); // closes the connection
-        }
-    }
-
-    fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(|e| e.into_inner())
+    /// A keep-alive connection back from a worker.
+    fn parked(p: Parked) -> ConnBuf {
+        ConnBuf::new(p.stream, p.leftover, true)
     }
 }
 
-#[cfg(target_os = "linux")]
-use reactor_impl::reactor_loop;
+enum Verdict {
+    Keep,
+    Drop,
+    /// A complete head landed: dispatch to the worker pool.
+    Dispatch(usize),
+}
 
-// ---- blocking fallback path ----------------------------------------------
-
-/// Blocking accept loop: used off-Linux or with `reactor: false`. Polls the
-/// shutdown flag between accepts, so no throwaway-connection unblock hack
-/// is needed.
-fn accept_loop(inner: &Inner, listener: &TcpListener) {
-    if listener.set_nonblocking(true).is_err() {
+fn reactor_loop(inner: &Inner, listener: &TcpListener, poller: &Poller) {
+    let shared = &inner.reactor;
+    if listener.set_nonblocking(true).is_err()
+        || poller
+            .add(listener, TOKEN_LISTENER, Interest::READ)
+            .is_err()
+    {
         return;
     }
+    let mut conns: HashMap<u64, ConnBuf> = HashMap::new();
+    let mut next_token: u64 = TOKEN_LISTENER + 1;
+    let mut events = Vec::with_capacity(64);
     loop {
+        events.clear();
+        let _ = poller.wait(&mut events, Some(Duration::from_millis(250)));
         if inner.shutdown.load(Ordering::SeqCst) {
             break;
         }
+        for ev in events.drain(..) {
+            match ev.token {
+                TOKEN_LISTENER => accept_ready(listener, poller, &mut conns, &mut next_token),
+                WAKE => {
+                    let handed_back = std::mem::take(&mut *lock(&shared.handed_back));
+                    for (token, p) in handed_back {
+                        take_back(inner, poller, &mut conns, token, p);
+                    }
+                }
+                token => {
+                    // a connection mid-head or flushing, else one a worker
+                    // re-registered since it last fired
+                    let mut cb = match conns.remove(&token) {
+                        Some(cb) => cb,
+                        None => match lock(&shared.parked).remove(&token) {
+                            Some(p) => ConnBuf::parked(p),
+                            None => continue,
+                        },
+                    };
+                    let verdict = on_event(inner, &mut cb, ev.writable, ev.readable);
+                    settle(inner, poller, &mut conns, token, cb, verdict);
+                }
+            }
+        }
+        let watched = conns.len() + lock(&shared.parked).len();
+        shared.watched.store(watched, Ordering::Relaxed);
+        indigo_obs::Gauge::ServeParkedConns.set(watched as i64);
+        // reap connections dribbling a head (slow-loris) or wedged on a
+        // pending write
+        let deadline = inner.cfg.header_timeout;
+        let dead: Vec<u64> = conns
+            .iter()
+            .filter(|(_, c)| {
+                (!c.buf.is_empty() || c.wpos < c.write_buf.len()) && c.arrived.elapsed() > deadline
+            })
+            .map(|(t, _)| *t)
+            .collect();
+        for t in dead {
+            if let Some(cb) = conns.remove(&t) {
+                let _ = poller.remove(&cb.stream);
+            }
+        }
+    }
+    // shutdown: tear everything down
+    for (_, cb) in conns.drain() {
+        let _ = poller.remove(&cb.stream);
+    }
+    lock(&shared.parked).clear();
+    lock(&shared.handed_back).clear();
+    let _ = poller.remove(listener);
+}
+
+fn accept_ready(
+    listener: &TcpListener,
+    poller: &Poller,
+    conns: &mut HashMap<u64, ConnBuf>,
+    next_token: &mut u64,
+) {
+    loop {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(false);
-                let job = Job::Raw {
-                    stream,
-                    arrived: Instant::now(),
-                };
-                match inner.queue.try_push(job) {
-                    Ok(()) => {}
-                    Err(PushError::Full(Job::Raw { stream, .. })) => shed(inner, stream),
-                    Err(PushError::Full(_)) => {}
-                    Err(PushError::Closed(_)) => break,
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                let token = *next_token;
+                *next_token += 1;
+                // level-triggered: a request that is already readable
+                // reports on the next wait, so no speculative read
+                if poller.add(&stream, token, Interest::READ).is_ok() {
+                    conns.insert(token, ConnBuf::new(stream, Vec::new(), false));
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
         }
     }
 }
 
-/// Load shedding on the fallback path: answered by the *acceptor* so a
-/// saturated worker pool can't delay the 429 itself.
-fn shed(inner: &Inner, mut stream: TcpStream) {
-    inner.stats.bump(ServeCounter::Requests);
-    inner.stats.bump(ServeCounter::Shed);
-    let mut scope = RequestScope::new(next_seq(inner), None, Instant::now());
-    scope.outcome = Outcome::Shed;
-    inner
-        .recorder
-        .push(ReqRecord::from_scope(&scope, "<shed>", 429));
-    let secs = inner.stats.retry_after_secs(inner.queue.depth());
-    let resp = Response::json(
-        429,
-        format!(
-            "{{\"status\":\"shed\",\"error\":\"admission queue full\",\"retry_after_s\":{secs}}}"
-        ),
-    )
-    .with_retry_after(secs)
-    .with_close()
-    .with_request_id(scope.echo);
-    // drain the request first: closing a socket with unread bytes makes the
-    // kernel send RST, which destroys the 429 before the client reads it.
-    // The timeout is short — a client too slow to finish its request head
-    // forfeits the body of the shed response, not the acceptor's time
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
-    let mut buf = [0u8; 512];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(n) if n > 0 => {
-                if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-            _ => break,
+/// Takes back a connection a worker handed over through the wake pipe (its
+/// leftover holds pipelined bytes). A full head dispatches at once without
+/// touching epoll; a partial one is watched, so the rest of the head fires
+/// it and the header-timeout sweep covers a stalled one.
+fn take_back(
+    inner: &Inner,
+    poller: &Poller,
+    conns: &mut HashMap<u64, ConnBuf>,
+    token: u64,
+    p: Parked,
+) {
+    let cb = ConnBuf::parked(p);
+    if let Some(end) = head_end(&cb.buf) {
+        settle(inner, poller, conns, token, cb, Verdict::Dispatch(end));
+    } else if poller.add(&cb.stream, token, Interest::READ).is_ok() {
+        conns.insert(token, cb);
+    }
+}
+
+/// Applies readiness to one connection.
+fn on_event(inner: &Inner, cb: &mut ConnBuf, writable: bool, readable: bool) -> Verdict {
+    if writable || (cb.wpos < cb.write_buf.len()) {
+        match flush_pending(cb) {
+            Ok(true) if cb.close_after_write => return Verdict::Drop,
+            Ok(_) => {}
+            Err(_) => return Verdict::Drop,
         }
     }
-    let _ = stream.write_all(&resp.to_bytes());
+    if !readable {
+        return Verdict::Keep;
+    }
+    let mut chunk = [0u8; 1024];
+    loop {
+        match cb.stream.read(&mut chunk) {
+            Ok(0) => {
+                // EOF: half-closed or done. If a write is still pending,
+                // keep flushing; otherwise reap
+                return if cb.wpos < cb.write_buf.len() {
+                    Verdict::Keep
+                } else {
+                    Verdict::Drop
+                };
+            }
+            Ok(n) => {
+                if cb.buf.is_empty() {
+                    cb.arrived = Instant::now(); // new request head starts
+                }
+                cb.buf.extend_from_slice(&chunk[..n]);
+                if let Some(end) = head_end(&cb.buf) {
+                    return Verdict::Dispatch(end);
+                }
+                if cb.buf.len() > MAX_HEAD_BYTES {
+                    inner.stats.bump(ServeCounter::Requests);
+                    inner.stats.bump(ServeCounter::BadRequests);
+                    let seq = next_seq(inner);
+                    let resp = Response::json(
+                        400,
+                        format!(
+                            "{{\"status\":\"bad-request\",\"error\":\"request head exceeds {MAX_HEAD_BYTES} bytes\"}}"
+                        ),
+                    )
+                    .with_close()
+                    .with_request_id(format!("{seq:016x}"));
+                    cb.buf.clear();
+                    cb.write_buf = resp.to_bytes();
+                    cb.wpos = 0;
+                    cb.close_after_write = true;
+                    return match flush_pending(cb) {
+                        Ok(true) => Verdict::Drop,
+                        Ok(false) => Verdict::Keep,
+                        Err(_) => Verdict::Drop,
+                    };
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Verdict::Keep,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return Verdict::Drop,
+        }
+    }
+}
+
+/// Flushes as much of the queued response as the socket takes.
+/// `Ok(true)` = fully flushed.
+fn flush_pending(cb: &mut ConnBuf) -> std::io::Result<bool> {
+    while cb.wpos < cb.write_buf.len() {
+        match cb.stream.write(&cb.write_buf[cb.wpos..]) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero)),
+            Ok(n) => cb.wpos += n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+/// Carries out a verdict: re-watch, tear down, or hand to the workers.
+fn settle(
+    inner: &Inner,
+    poller: &Poller,
+    conns: &mut HashMap<u64, ConnBuf>,
+    token: u64,
+    mut cb: ConnBuf,
+    verdict: Verdict,
+) {
+    match verdict {
+        Verdict::Keep => {
+            let interest = if cb.wpos < cb.write_buf.len() {
+                Interest::READ_WRITE
+            } else {
+                Interest::READ
+            };
+            let _ = poller.modify(&cb.stream, token, interest);
+            conns.insert(token, cb);
+        }
+        Verdict::Drop => {
+            let _ = poller.remove(&cb.stream);
+        }
+        Verdict::Dispatch(end) => {
+            inner.stats.bump(ServeCounter::Requests);
+            if cb.reused {
+                inner.stats.bump(ServeCounter::KeepAliveReuses);
+            }
+            let head = String::from_utf8_lossy(&cb.buf[..end]).into_owned();
+            let req = Request::parse(&head);
+            let leftover = cb.buf[end..].to_vec();
+            // deregister *before* the hand-off: once pushed, a fast worker
+            // may re-register the fd under this same token, and a late
+            // remove would delete that fresh registration
+            let _ = poller.remove(&cb.stream);
+            let job = Job {
+                stream: cb.stream,
+                req,
+                arrived: cb.arrived,
+                leftover,
+                token,
+            };
+            match inner.queue.try_push(job) {
+                Ok(()) => {}
+                Err(PushError::Full(Job {
+                    stream,
+                    req,
+                    arrived,
+                    ..
+                })) => {
+                    // shed without blocking: queue the 429 on the
+                    // connection and let readiness flush it
+                    inner.stats.bump(ServeCounter::Shed);
+                    let mut scope = RequestScope::new(
+                        next_seq(inner),
+                        req.as_ref().ok().and_then(|r| r.request_id.clone()),
+                        arrived,
+                    );
+                    scope.queue_us = micros_since(arrived);
+                    scope.outcome = Outcome::Shed;
+                    let target = req
+                        .as_ref()
+                        .map(req_target)
+                        .unwrap_or_else(|_| "<unparsed>".into());
+                    inner
+                        .recorder
+                        .push(ReqRecord::from_scope(&scope, &target, 429));
+                    let secs = inner.stats.retry_after_secs(inner.queue.depth());
+                    let resp = Response::json(
+                        429,
+                        format!(
+                            "{{\"status\":\"shed\",\"error\":\"admission queue full\",\"retry_after_s\":{secs}}}"
+                        ),
+                    )
+                    .with_retry_after(secs)
+                    .with_close()
+                    .with_request_id(scope.echo);
+                    cb = ConnBuf {
+                        stream,
+                        buf: Vec::new(),
+                        write_buf: resp.to_bytes(),
+                        wpos: 0,
+                        arrived: Instant::now(),
+                        reused: cb.reused,
+                        close_after_write: true,
+                    };
+                    if matches!(flush_pending(&mut cb), Ok(false))
+                        && poller.add(&cb.stream, token, Interest::READ_WRITE).is_ok()
+                    {
+                        conns.insert(token, cb);
+                    }
+                }
+                Err(PushError::Closed(_)) => {}
+            }
+        }
+    }
+}
+
+/// Parks a keep-alive connection back with the reactor after a worker
+/// finishes a request on it: the worker re-registers the fd itself, so the
+/// reactor is not woken. Only a connection that already holds pipelined
+/// bytes goes through the wake pipe (see [`take_back`]).
+fn park(inner: &Inner, stream: TcpStream, leftover: Vec<u8>, token: u64) {
+    let shared = &inner.reactor;
+    if !leftover.is_empty() {
+        lock(&shared.handed_back).push((token, Parked { stream, leftover }));
+        shared.registrar.wake();
+        return;
+    }
+    let fd = fd_of(&stream);
+    lock(&shared.parked).insert(token, Parked { stream, leftover });
+    if shared.registrar.add(&fd, token, Interest::READ).is_err() {
+        lock(&shared.parked).remove(&token); // closes the connection
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // ---- worker pool ----------------------------------------------------------
@@ -766,16 +579,7 @@ fn shed(inner: &Inner, mut stream: TcpStream) {
 fn worker_loop(inner: &Inner) {
     while let Some(job) = inner.queue.pop() {
         // a panic anywhere in request handling burns this connection only
-        let _ = catch_unwind(AssertUnwindSafe(|| match job {
-            Job::Ready {
-                stream,
-                req,
-                arrived,
-                leftover,
-                token,
-            } => handle_ready(inner, stream, req, arrived, leftover, token),
-            Job::Raw { stream, arrived } => handle_raw(inner, stream, arrived),
-        }));
+        let _ = catch_unwind(AssertUnwindSafe(|| handle(inner, job)));
     }
 }
 
@@ -877,14 +681,14 @@ fn write_nonblocking(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()
 /// Serves one reactor-parsed request, then parks the connection back with
 /// the reactor when it stays alive. The socket stays as the reactor left
 /// it, non-blocking; nothing here reads from it.
-fn handle_ready(
-    inner: &Inner,
-    mut stream: TcpStream,
-    req: Result<Request, String>,
-    arrived: Instant,
-    leftover: Vec<u8>,
-    token: u64,
-) {
+fn handle(inner: &Inner, job: Job) {
+    let Job {
+        mut stream,
+        req,
+        arrived,
+        leftover,
+        token,
+    } = job;
     let mut scope = RequestScope::new(
         next_seq(inner),
         req.as_ref().ok().and_then(|r| r.request_id.clone()),
@@ -901,10 +705,7 @@ fn handle_ready(
             scope.outcome = Outcome::BadRequest;
             let resp = Response::json(
                 400,
-                format!(
-                    "{{\"status\":\"bad-request\",\"error\":{}}}",
-                    json::str_lit(e)
-                ),
+                format!("{{\"status\":\"bad-request\",\"error\":{}}}", json_str(e)),
             )
             .with_close();
             (finalize(resp, "", &mut scope), true, "<unparsed>".into())
@@ -915,122 +716,20 @@ fn handle_ready(
     let write_start = Instant::now();
     let wrote = write_nonblocking(&mut stream, &resp.to_bytes()).is_ok();
     observe_write(inner, write_start, arrived);
-    let keep = wrote && !resp.close && !inner.shutdown.load(Ordering::SeqCst);
-    if keep {
-        #[cfg(target_os = "linux")]
-        reactor_impl::park(inner, stream, leftover, token);
-        #[cfg(not(target_os = "linux"))]
-        let _ = (stream, leftover, token);
-    }
-}
-
-/// Fallback connection loop: reads requests off one blocking connection,
-/// keep-alive until the client (or a response) closes it.
-fn handle_raw(inner: &Inner, mut stream: TcpStream, arrived: Instant) {
-    let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
-    let mut carry: Vec<u8> = Vec::new();
-    let mut served = 0usize;
-    loop {
-        let idle = if served == 0 {
-            STREAM_TIMEOUT
-        } else {
-            FALLBACK_KEEPALIVE_IDLE
-        };
-        let _ = stream.set_read_timeout(Some(idle));
-        match read_head_blocking(&mut stream, &mut carry) {
-            Ok(None) => break, // clean close / idle keep-alive expiry
-            Ok(Some(req)) => {
-                let arrived = if served == 0 { arrived } else { Instant::now() };
-                inner.stats.bump(ServeCounter::Requests);
-                if served > 0 {
-                    inner.stats.bump(ServeCounter::KeepAliveReuses);
-                }
-                let mut scope = RequestScope::new(next_seq(inner), req.request_id.clone(), arrived);
-                scope.queue_us = micros_since(arrived);
-                let routed = route(inner, &req, arrived, &mut scope);
-                let resp =
-                    finish_response(inner, finalize(routed, &req.path, &mut scope), req.close);
-                observe_done(inner, &scope, &req_target(&req), resp.status);
-                let write_start = Instant::now();
-                let wrote = resp.write_to(&mut stream).is_ok();
-                observe_write(inner, write_start, arrived);
-                served += 1;
-                if !wrote || resp.close || inner.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) => {
-                if served == 0 {
-                    inner.stats.bump(ServeCounter::Requests);
-                    inner.stats.bump(ServeCounter::BadRequests);
-                    let mut scope = RequestScope::new(next_seq(inner), None, arrived);
-                    scope.outcome = Outcome::BadRequest;
-                    let resp = Response::json(
-                        400,
-                        format!(
-                            "{{\"status\":\"bad-request\",\"error\":{}}}",
-                            json::str_lit(&e)
-                        ),
-                    )
-                    .with_close()
-                    .with_request_id(scope.echo.clone());
-                    inner
-                        .recorder
-                        .push(ReqRecord::from_scope(&scope, "<unparsed>", 400));
-                    let _ = resp.write_to(&mut stream);
-                }
-                break;
-            }
-        }
-    }
-}
-
-/// Reads the next request head off a blocking stream, consuming from (and
-/// leaving pipelined bytes in) `carry`. `Ok(None)` = clean end of the
-/// connection (EOF or idle timeout with no partial request).
-fn read_head_blocking(
-    stream: &mut TcpStream,
-    carry: &mut Vec<u8>,
-) -> Result<Option<Request>, String> {
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(end) = head_end(carry) {
-            let head = String::from_utf8_lossy(&carry[..end]).into_owned();
-            carry.drain(..end);
-            return Request::parse(&head).map(Some);
-        }
-        if carry.len() > MAX_HEAD_BYTES {
-            return Err(format!("request head exceeds {MAX_HEAD_BYTES} bytes"));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                if carry.is_empty() {
-                    return Ok(None);
-                }
-                return Err("connection closed before request was complete".into());
-            }
-            Ok(n) => carry.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if carry.is_empty()
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-            {
-                return Ok(None);
-            }
-            Err(e) => return Err(format!("read error: {e}")),
-        }
+    if wrote && !resp.close && !inner.shutdown.load(Ordering::SeqCst) {
+        park(inner, stream, leftover, token);
     }
 }
 
 /// Applies connection policy to a routed response: the connection closes
-/// when the client asked to, when keep-alive is off, or when shutting down.
+/// when the client asked to (`Connection: close` or HTTP/1.0), when the
+/// response already forces it (a malformed head's 400), or when shutting
+/// down. Sheds (429) close on the reactor side without reaching here.
 fn finish_response(inner: &Inner, mut resp: Response, req_close: bool) -> Response {
     if (200..300).contains(&resp.status) {
         inner.stats.bump(ServeCounter::Ok);
     }
-    if req_close || !inner.cfg.keep_alive || inner.shutdown.load(Ordering::SeqCst) {
+    if req_close || inner.shutdown.load(Ordering::SeqCst) {
         resp = resp.with_close();
     }
     resp
@@ -1063,7 +762,7 @@ fn route(inner: &Inner, req: &Request, arrived: Instant, scope: &mut RequestScop
                 404,
                 format!(
                     "{{\"status\":\"bad-request\",\"error\":{}}}",
-                    json::str_lit(&format!(
+                    json_str(&format!(
                         "no route `{path}` (/health /stats /metrics /cell /advise /run /sweep /debug/flightrec)"
                     ))
                 ),
@@ -1084,14 +783,7 @@ fn metrics_page(inner: &Inner) -> Response {
         .values()
         .filter(|s| s.breaker.state_label() != "closed")
         .count();
-    #[cfg(target_os = "linux")]
-    let parked_conns = inner
-        .reactor
-        .as_ref()
-        .map(|r| r.watched.load(Ordering::Relaxed))
-        .unwrap_or(0);
-    #[cfg(not(target_os = "linux"))]
-    let parked_conns = 0usize;
+    let parked_conns = inner.reactor.watched.load(Ordering::Relaxed);
     let view = crate::metrics::MetricsView {
         stats: &stats,
         rolling: inner.stats.rolling_snapshot(),
@@ -1110,13 +802,7 @@ fn health(inner: &Inner) -> Response {
     let mut breakers: Vec<String> = inner
         .shards
         .iter()
-        .map(|(label, s)| {
-            format!(
-                "{}:{}",
-                json::str_lit(label),
-                json::str_lit(s.breaker.state_label())
-            )
-        })
+        .map(|(label, s)| format!("{}:{}", json_str(label), json_str(s.breaker.state_label())))
         .collect();
     breakers.sort(); // deterministic body
     Response::json(
@@ -1149,7 +835,7 @@ fn cell(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
             400,
             format!(
                 "{{\"status\":\"bad-request\",\"error\":{}}}",
-                json::str_lit(&format!("`fp` is not hex: `{fp_hex}`"))
+                json_str(&format!("`fp` is not hex: `{fp_hex}`"))
             ),
         );
     };
@@ -1163,10 +849,10 @@ fn cell(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
                     "{{\"status\":\"ok\",\"cached\":true,\"fp\":\"{fp:016x}\",\
                      \"variant\":{},\"graph\":{},\"target\":{},\"geps\":{},\
                      \"geps_bits\":\"{:016x}\",\"iterations\":{}}}",
-                    json::str_lit(&c.variant),
-                    json::str_lit(&c.graph),
-                    json::str_lit(&c.target),
-                    json::num(c.geps()),
+                    json_str(&c.variant),
+                    json_str(&c.graph),
+                    json_str(&c.target),
+                    json_num(c.geps()),
                     c.geps_bits,
                     c.iterations
                 ),
@@ -1198,10 +884,7 @@ fn advise(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
             scope.outcome = Outcome::BadRequest;
             return Response::json(
                 400,
-                format!(
-                    "{{\"status\":\"bad-request\",\"error\":{}}}",
-                    json::str_lit(&e)
-                ),
+                format!("{{\"status\":\"bad-request\",\"error\":{}}}", json_str(&e)),
             );
         }
     };
@@ -1221,8 +904,8 @@ fn advise(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
         .map(|n| {
             format!(
                 "{}:{}",
-                json::str_lit(n),
-                json::num(a.features.get(n).unwrap_or(0.0))
+                json_str(n),
+                json_num(a.features.get(n).unwrap_or(0.0))
             )
         })
         .collect();
@@ -1231,13 +914,13 @@ fn advise(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
         .ranked
         .iter()
         .take(5)
-        .map(|v| json::str_lit(v))
+        .map(|v| json_str(v))
         .collect();
     let neighbor = match &a.advice.neighbor {
         Some((label, d)) => format!(
             "{{\"graph\":{},\"distance\":{}}}",
-            json::str_lit(label),
-            json::num(*d)
+            json_str(label),
+            json_num(*d)
         ),
         None => "null".into(),
     };
@@ -1247,12 +930,12 @@ fn advise(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
             "{{\"status\":\"ok\",\"algo\":{},\"model\":{},\"graph\":{},\"scale\":{},\
              \"style\":{},\"method\":{},\"neighbor\":{neighbor},\"ranked\":[{}],\
              \"features\":{{{}}},\"training_cells\":{},\"training_graphs\":{}}}",
-            json::str_lit(algo.label()),
-            json::str_lit(model.label()),
-            json::str_lit(graph.label()),
-            json::str_lit(crate::config::scale_label(scale)),
-            json::str_lit(a.advice.best()),
-            json::str_lit(a.advice.method.label()),
+            json_str(algo.label()),
+            json_str(model.label()),
+            json_str(graph.label()),
+            json_str(crate::config::scale_label(scale)),
+            json_str(a.advice.best()),
+            json_str(a.advice.method.label()),
             ranked.join(","),
             features.join(","),
             a.training_cells,
@@ -1275,10 +958,7 @@ fn run(
             scope.outcome = Outcome::BadRequest;
             return Response::json(
                 400,
-                format!(
-                    "{{\"status\":\"bad-request\",\"error\":{}}}",
-                    json::str_lit(&e)
-                ),
+                format!("{{\"status\":\"bad-request\",\"error\":{}}}", json_str(&e)),
             );
         }
     };
@@ -1317,7 +997,7 @@ fn run(
             504,
             format!(
                 "{{\"status\":\"timeout\",\"error\":{}}}",
-                json::str_lit(&format!(
+                json_str(&format!(
                     "deadline of {} ms expired while queued",
                     q.deadline.as_millis()
                 ))
@@ -1330,7 +1010,7 @@ fn run(
         cache: &inner.cache,
         stats: &inner.stats,
         flights: &inner.flights,
-        batcher: inner.batcher.as_ref(),
+        batcher: &inner.batcher,
     };
     engine::execute(&ctx, shard, &q, deadline_at, scope)
 }

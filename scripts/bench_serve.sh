@@ -2,14 +2,13 @@
 # Regenerates bench/baselines/BENCH_serve_baseline.json: the serving-path record
 # the serve_perf CI gate compares against (DESIGN.md §7.9).
 #
-# The probe drives the open-loop load generator against two in-process
-# servers — the pre-PR-8 connection-per-request path and the batched
-# keep-alive reactor path — and records saturation throughput per mode,
-# the batched/unbatched speedup, and the coordinated-omission-safe p99.
+# The probe drives the open-loop load generator against one in-process
+# server on the serving path (keep-alive connections on the epoll reactor,
+# single-flight batching; Linux only) and records its saturation
+# throughput and coordinated-omission-safe p99.
 #
 # Refresh the baseline only after a deliberate serving-path change, on a
-# quiet machine; review the diff — it IS the perf contract. The absolute
-# 1.5x speedup floor is enforced regardless of what the baseline says.
+# quiet machine; review the diff — it IS the perf contract.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

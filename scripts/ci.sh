@@ -164,11 +164,11 @@ stage "CPU baseline perf smoke (deterministic: frontier counters + allocs)"
 cargo build -q --release -p indigo-bench --bin cpu_perf --features telemetry
 target/release/cpu_perf --check bench/baselines/BENCH_cpu_baseline.json
 
-stage "serving-path perf smoke (loadgen: keep-alive + batching speedup)"
-# The batched keep-alive reactor path must beat the connection-per-request
-# path by the absolute 1.5x saturation floor, and throughput/p99 must hold
-# against the committed baseline (drop > 30% fails, > 10% warns; the p99
-# gate carries a 1 ms absolute grace so millisecond tails don't flake).
+stage "serving-path perf smoke (loadgen: saturation rps + p99)"
+# Saturation throughput and p99 of the serving path (keep-alive reactor +
+# batching) must hold against the committed baseline (drop > 30% fails,
+# > 10% warns; the p99 gate carries a 1 ms absolute grace so millisecond
+# tails don't flake).
 cargo build -q --release -p indigo-bench --bin serve_perf
 target/release/serve_perf --check bench/baselines/BENCH_serve_baseline.json
 

@@ -100,7 +100,7 @@ struct Cli {
     requests: usize,
     /// `serve`: run the chaos gate instead of serving in the foreground.
     chaos: bool,
-    /// `serve`: batch-former merge cap (0 disables batching).
+    /// `serve`: batch-former merge cap (1 = every claim runs alone).
     batch: usize,
     /// `serve`: batch-former window, milliseconds.
     batch_window_ms: u64,
@@ -822,10 +822,10 @@ fn cmd_serve(cli: &Cli) -> Result<i32, String> {
 
 /// `indigo-exp loadgen [--rps R] [--conns N] [--duration-ms MS]
 /// [--mix cached|sweep|mixed] [--serve-workers N] [--queue N] [--out DIR]`
-/// — open-loop load generator (DESIGN.md §7.9). Drives the same traffic
-/// through an unbatched (pre-PR-8) and a batched server, reports
-/// coordinated-omission-safe latency percentiles and saturation
-/// throughput for each, and writes `BENCH_loadgen.json`.
+/// — open-loop load generator (DESIGN.md §7.9). Drives the traffic
+/// through one in-process server, reports coordinated-omission-safe
+/// latency percentiles and saturation throughput, and writes
+/// `BENCH_loadgen.json`.
 fn cmd_loadgen(cli: &Cli) -> Result<i32, String> {
     let mix = indigo_serve::loadgen::LoadMix::parse(&cli.mix)?;
     let opts = indigo_serve::loadgen::LoadgenOptions {
@@ -850,38 +850,30 @@ fn cmd_loadgen(cli: &Cli) -> Result<i32, String> {
     let path = Path::new(&cli.out_dir).join("BENCH_loadgen.json");
     std::fs::write(&path, report.to_json())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    for m in [&report.unbatched, &report.batched] {
-        console_line(&format!(
-            "{}: {:.0}/{:.0} rps achieved/offered, p50 {:.2} ms, p99 {:.2} ms, \
-             p999 {:.2} ms, saturation {:.0} rps ({} coalesced, {} batches, \
-             {} keep-alive reuses)",
-            m.label,
-            m.achieved_rps,
-            m.offered_rps,
-            m.p50_ms,
-            m.p99_ms,
-            m.p999_ms,
-            m.saturation_rps,
-            m.coalesced,
-            m.batches,
-            m.keepalive_reuses
-        ));
-        let s = &m.stage_latency_us;
-        console_line(&format!(
-            "{} stages (p50/p99 µs): queue {}/{}, batch-wait {}/{}, \
-             execute {}/{}",
-            m.label,
-            s.queue.p50_us,
-            s.queue.p99_us,
-            s.batch_wait.p50_us,
-            s.batch_wait.p99_us,
-            s.execute.p50_us,
-            s.execute.p99_us
-        ));
-    }
+    let r = &report;
     console_line(&format!(
-        "speedup: {:.2}x saturation throughput (batched vs unbatched)",
-        report.speedup
+        "{:.0}/{:.0} rps achieved/offered, p50 {:.2} ms, p99 {:.2} ms, \
+         p999 {:.2} ms, saturation {:.0} rps ({} coalesced, {} batches, \
+         {} keep-alive reuses)",
+        r.achieved_rps,
+        r.offered_rps,
+        r.p50_ms,
+        r.p99_ms,
+        r.p999_ms,
+        r.saturation_rps,
+        r.coalesced,
+        r.batches,
+        r.keepalive_reuses
+    ));
+    let s = &r.stage_latency_us;
+    console_line(&format!(
+        "stages (p50/p99 µs): queue {}/{}, batch-wait {}/{}, execute {}/{}",
+        s.queue.p50_us,
+        s.queue.p99_us,
+        s.batch_wait.p50_us,
+        s.batch_wait.p99_us,
+        s.execute.p50_us,
+        s.execute.p99_us
     ));
     console_line(&format!("wrote {}", path.display()));
     Ok(0)
@@ -1368,13 +1360,15 @@ BENCH_serve.json. In chaos mode --inject-fault's index is the storm
 stride: panic@3 faults every third storm request.
 
 Requests for the same cell coalesce into one execution (single-flight)
-and distinct queries merge into batched plans (--batch, --batch-window-ms;
---batch 0 disables). Connections are keep-alive and, on Linux, served
-through an epoll readiness reactor. `loadgen` measures that path: an
-open-loop generator (latency from intended start times, so coordinated
-omission cannot hide server stalls) drives an unbatched and a batched
-in-process server and writes BENCH_loadgen.json with the saturation
-speedup; scripts/ci.sh gates it against bench/baselines/BENCH_serve_baseline.json.
+and distinct queries merge into batched plans (--batch caps the merge,
+1 = every claim runs alone; --batch-window-ms). Connections are
+keep-alive and served through an epoll readiness reactor, so serving
+needs Linux. `loadgen` measures that path: an open-loop generator
+(latency from intended start times, so coordinated omission cannot hide
+server stalls) drives one in-process server and writes
+BENCH_loadgen.json with latency percentiles and saturation throughput;
+scripts/ci.sh gates the same measurement against
+bench/baselines/BENCH_serve_baseline.json.
 
 advising: `advise` productizes the paper's 5.13/5.16 payoff (DESIGN.md
 7.11): it fits an interpretable predictor (nearest-neighbor over the

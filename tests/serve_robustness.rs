@@ -269,12 +269,13 @@ fn batched_answers_are_bit_identical_to_unbatched() {
     use std::collections::HashMap;
 
     // batched server: a wide window so concurrent submissions actually
-    // merge; unbatched server: batching off entirely
+    // merge; unbatched server: a merge cap of 1, so every claim runs as
+    // its own plan
     let mut bat_cfg = chaos_cfg();
     bat_cfg.batch = 8;
     bat_cfg.batch_window = Duration::from_millis(5);
     let mut un_cfg = chaos_cfg();
-    un_cfg.batch = 0;
+    un_cfg.batch = 1;
     let bat = Server::start(bat_cfg).unwrap();
     let un = Server::start(un_cfg).unwrap();
 
@@ -401,6 +402,37 @@ fn pipelined_keep_alive_requests_answer_in_order() {
 }
 
 #[test]
+fn close_requests_get_a_closing_response_then_eof() {
+    use std::io::{Read, Write};
+
+    let server = Server::start(ServerConfig::default()).unwrap();
+    for request in [
+        "GET /health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        "GET /health HTTP/1.0\r\n\r\n",
+    ] {
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        // read_to_end returns only once the server closes the connection
+        let mut raw = Vec::new();
+        stream
+            .read_to_end(&mut raw)
+            .unwrap_or_else(|e| panic!("{request:?}: no EOF after the response: {e}"));
+        let text = String::from_utf8_lossy(&raw);
+        assert!(text.starts_with("HTTP/1.1 200"), "{request:?}: {text}");
+        assert!(
+            text.contains("Connection: close\r\n"),
+            "{request:?}: response does not announce the close: {text}"
+        );
+        assert_eq!(
+            text.matches("HTTP/1.1 ").count(),
+            1,
+            "{request:?}: exactly one response before EOF: {text}"
+        );
+    }
+}
+
+#[test]
 fn one_keep_alive_connection_soaks_thousands_of_cached_answers() {
     use std::io::Write;
 
@@ -519,10 +551,7 @@ fn strip_request_scope(body: &str) -> String {
     body[..cut].to_string()
 }
 
-// The reactor reaps connections that dribble their request head; the
-// blocking fallback path bounds them with its stream timeout instead, so
-// the fast reap is Linux-only behavior.
-#[cfg(target_os = "linux")]
+// The reactor reaps connections that dribble their request head.
 #[test]
 fn slow_header_connections_are_reaped() {
     use std::io::{Read, Write};
